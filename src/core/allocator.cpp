@@ -1,11 +1,45 @@
 #include "core/allocator.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace npac::core {
+
+namespace {
+
+/// Appends the decimal digits of `value`: the bytes `operator<<` writes,
+/// without building a stream per label.
+void append_decimal(std::string& out, std::int64_t value) {
+  char digits[20];  // "-9223372036854775808"
+  const char* end =
+      std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
+/// A Clos partition label: `per_block`, `unit`, the container count,
+/// `container`, the chosen ids and a closing brace — container_label(2,
+/// "ch x ", "gr@{", {0, 4, 5}) is "2ch x 3gr@{0,4,5}".
+std::string container_label(std::int64_t per_block, std::string_view unit,
+                            std::string_view container,
+                            std::span<const std::int64_t> chosen) {
+  std::string label;
+  append_decimal(label, per_block);
+  label += unit;
+  append_decimal(label, static_cast<std::int64_t>(chosen.size()));
+  label += container;
+  for (std::size_t i = 0; i < chosen.size(); ++i) {
+    if (i > 0) label += ',';
+    append_decimal(label, chosen[i]);
+  }
+  label += '}';
+  return label;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PartitionOracle
@@ -48,11 +82,19 @@ std::int64_t Placement::midplanes() const {
 bgq::Geometry Placement::geometry() const { return bgq::Geometry(extent); }
 
 std::string Placement::to_string() const {
-  std::ostringstream out;
-  out << extent[0] << "x" << extent[1] << "x" << extent[2] << "x" << extent[3]
-      << "@(" << origin[0] << "," << origin[1] << "," << origin[2] << ","
-      << origin[3] << ")";
-  return out.str();
+  // "4x2x1x1@(0,2,0,0)"
+  std::string out;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (i > 0) out += 'x';
+    append_decimal(out, extent[i]);
+  }
+  out += "@(";
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (i > 0) out += ',';
+    append_decimal(out, origin[i]);
+  }
+  out += ')';
+  return out;
 }
 
 MidplaneGrid::MidplaneGrid(bgq::Machine machine)
@@ -300,106 +342,69 @@ std::int64_t CuboidAllocator::release(std::int64_t job_id) {
 }
 
 // ---------------------------------------------------------------------------
-// DragonflyAllocator
+// ContainerOccupancy (dragonfly groups, fat-tree pods)
 // ---------------------------------------------------------------------------
 
-namespace {
+ContainerOccupancy::ContainerOccupancy(std::int64_t containers,
+                                       std::int64_t container_size)
+    : container_size_(container_size),
+      owner_(static_cast<std::size_t>(containers * container_size), -1),
+      container_free_(static_cast<std::size_t>(containers), container_size),
+      scratch_(static_cast<std::size_t>(containers)),
+      free_units_(containers * container_size) {}
 
-/// Occupancy helper shared by the group/pod families: picks the first
-/// `blocks` containers (ascending id) holding at least `per_block` free
-/// units each; empty when fewer qualify. Deterministic by construction.
-std::vector<std::int64_t> pick_containers(
-    const std::vector<std::int64_t>& owner, std::int64_t container_size,
-    std::int64_t blocks, std::int64_t per_block) {
-  const std::int64_t containers =
-      static_cast<std::int64_t>(owner.size()) / container_size;
-  std::vector<std::int64_t> chosen;
-  for (std::int64_t c = 0; c < containers &&
-                           static_cast<std::int64_t>(chosen.size()) < blocks;
-       ++c) {
-    std::int64_t free = 0;
-    for (std::int64_t u = 0; u < container_size; ++u) {
-      if (owner[static_cast<std::size_t>(c * container_size + u)] == -1) {
-        ++free;
-      }
+NPAC_HOT std::span<const std::int64_t> ContainerOccupancy::place(
+    std::int64_t blocks, std::int64_t per_block, PositionScoring scoring,
+    std::int64_t job_id) {
+  std::size_t qualifying = 0;
+  for (std::size_t c = 0; c < container_free_.size(); ++c) {
+    if (container_free_[c] >= per_block) {
+      scratch_[qualifying++] = static_cast<std::int64_t>(c);
     }
-    if (free >= per_block) chosen.push_back(c);
   }
-  if (static_cast<std::int64_t>(chosen.size()) < blocks) chosen.clear();
-  return chosen;
-}
-
-/// Best-fit variant: among all qualifying containers, prefer the ones with
-/// the least free slack (tightest fit), breaking ties by ascending id. The
-/// chosen set is returned in ascending id order so labels and occupancy
-/// order match the scan-order family convention.
-std::vector<std::int64_t> pick_containers_best_fit(
-    const std::vector<std::int64_t>& owner, std::int64_t container_size,
-    std::int64_t blocks, std::int64_t per_block) {
-  const std::int64_t containers =
-      static_cast<std::int64_t>(owner.size()) / container_size;
-  std::vector<std::pair<std::int64_t, std::int64_t>> qualifying;  // (free, id)
-  for (std::int64_t c = 0; c < containers; ++c) {
-    std::int64_t free = 0;
-    for (std::int64_t u = 0; u < container_size; ++u) {
-      if (owner[static_cast<std::size_t>(c * container_size + u)] == -1) {
-        ++free;
-      }
-    }
-    if (free >= per_block) qualifying.emplace_back(free, c);
-  }
-  if (static_cast<std::int64_t>(qualifying.size()) < blocks) return {};
-  std::sort(qualifying.begin(), qualifying.end());
-  qualifying.resize(static_cast<std::size_t>(blocks));
-  std::vector<std::int64_t> chosen;
-  chosen.reserve(qualifying.size());
-  for (const auto& [free, id] : qualifying) chosen.push_back(id);
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
-}
-
-/// Occupies the lowest-id free units of each chosen container.
-void occupy_containers(std::vector<std::int64_t>& owner,
-                       std::int64_t container_size,
-                       const std::vector<std::int64_t>& containers,
-                       std::int64_t per_block, std::int64_t job_id) {
-  for (const std::int64_t c : containers) {
+  if (qualifying < static_cast<std::size_t>(blocks)) return {};
+  // The two modes differ only in the ranking key; ties go to the lower id.
+  const auto key = [&](std::int64_t c) {
+    return scoring == PositionScoring::kBestFit
+               ? container_free_[static_cast<std::size_t>(c)]
+               : std::int64_t{0};
+  };
+  const auto first = scratch_.begin();
+  const auto last_chosen = first + blocks;
+  std::partial_sort(first, last_chosen,
+                    first + static_cast<std::ptrdiff_t>(qualifying),
+                    [&](std::int64_t a, std::int64_t b) {
+                      return std::pair(key(a), a) < std::pair(key(b), b);
+                    });
+  std::sort(first, last_chosen);
+  const std::span<const std::int64_t> chosen(first, last_chosen);
+  for (const std::int64_t c : chosen) {
     std::int64_t taken = 0;
-    for (std::int64_t u = 0; u < container_size && taken < per_block; ++u) {
-      auto& cell = owner[static_cast<std::size_t>(c * container_size + u)];
+    for (std::int64_t u = c * container_size_; taken < per_block; ++u) {
+      auto& cell = owner_[static_cast<std::size_t>(u)];
       if (cell == -1) {
         cell = job_id;
         ++taken;
       }
     }
+    container_free_[static_cast<std::size_t>(c)] -= per_block;
   }
+  free_units_ -= blocks * per_block;
+  return chosen;
 }
 
-std::string container_list(const std::vector<std::int64_t>& containers) {
-  std::ostringstream out;
-  out << "{";
-  for (std::size_t i = 0; i < containers.size(); ++i) {
-    if (i > 0) out << ",";
-    out << containers[i];
-  }
-  out << "}";
-  return out.str();
-}
-
-std::int64_t generic_release(std::vector<std::int64_t>& owner,
-                             std::int64_t& free, std::int64_t job_id) {
+std::int64_t ContainerOccupancy::release(std::int64_t job_id) {
   std::int64_t freed = 0;
-  for (auto& cell : owner) {
-    if (cell == job_id) {
-      cell = -1;
+  for (std::size_t u = 0; u < owner_.size(); ++u) {
+    if (owner_[u] == job_id) {
+      owner_[u] = -1;
+      ++container_free_[u / static_cast<std::size_t>(container_size_)];
       ++freed;
     }
   }
-  free += freed;
+  free_units_ += freed;
   return freed;
 }
-
-}  // namespace
 
 DragonflyAllocator::DragonflyAllocator(topo::DragonflyConfig config,
                                        const PartitionOracle& oracle)
@@ -408,8 +413,7 @@ DragonflyAllocator::DragonflyAllocator(topo::DragonflyConfig config,
     throw std::invalid_argument(
         "DragonflyAllocator: a, h and groups must be >= 1");
   }
-  free_ = total_units();
-  owner_.assign(static_cast<std::size_t>(free_), -1);
+  occupancy_ = ContainerOccupancy(config_.groups, config_.h);
 }
 
 std::string DragonflyAllocator::descriptor() const {
@@ -480,20 +484,12 @@ std::optional<Partition> DragonflyAllocator::try_place(std::int64_t size,
   const auto& layouts = layouts_for(size);
   const Layout& layout = layouts.at(candidate);
   const auto groups =
-      position_scoring() == PositionScoring::kBestFit
-          ? pick_containers_best_fit(owner_, config_.h, layout.groups,
-                                     layout.chassis_per_group)
-          : pick_containers(owner_, config_.h, layout.groups,
-                            layout.chassis_per_group);
+      occupancy_.place(layout.groups, layout.chassis_per_group,
+                       position_scoring(), job_id);
   if (groups.empty()) return std::nullopt;
-  occupy_containers(owner_, config_.h, groups, layout.chassis_per_group,
-                    job_id);
-  free_ -= size;
   Partition partition;
-  std::ostringstream label;
-  label << layout.chassis_per_group << "ch x " << layout.groups << "gr@"
-        << container_list(groups);
-  partition.label = label.str();
+  partition.label =
+      container_label(layout.chassis_per_group, "ch x ", "gr@{", groups);
   partition.units = size;
   partition.quality = layout.quality;
   partition.best_quality = layouts.front().quality;
@@ -501,7 +497,7 @@ std::optional<Partition> DragonflyAllocator::try_place(std::int64_t size,
 }
 
 std::int64_t DragonflyAllocator::release(std::int64_t job_id) {
-  return generic_release(owner_, free_, job_id);
+  return occupancy_.release(job_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,8 +509,7 @@ FatTreeAllocator::FatTreeAllocator(topo::FatTreeConfig config)
   if (config_.k < 2 || config_.k % 2 != 0) {
     throw std::invalid_argument("FatTreeAllocator: k must be even >= 2");
   }
-  free_ = total_units();
-  owner_.assign(static_cast<std::size_t>(free_), -1);
+  occupancy_ = ContainerOccupancy(config_.k, config_.k / 2);
 }
 
 std::string FatTreeAllocator::descriptor() const {
@@ -525,7 +520,10 @@ std::int64_t FatTreeAllocator::total_units() const {
   return config_.k * (config_.k / 2);  // k pods x k/2 edge subtrees
 }
 
-std::vector<std::int64_t> FatTreeAllocator::pods_for(std::int64_t size) const {
+const std::vector<std::int64_t>& FatTreeAllocator::pods_for(
+    std::int64_t size) const {
+  const auto it = pods_.find(size);
+  if (it != pods_.end()) return it->second;
   std::vector<std::int64_t> pods;
   if (size >= 1 && size <= total_units()) {
     for (std::int64_t p = 1; p <= config_.k; ++p) {
@@ -534,7 +532,7 @@ std::vector<std::int64_t> FatTreeAllocator::pods_for(std::int64_t size) const {
       pods.push_back(p);
     }
   }
-  return pods;
+  return pods_.emplace(size, std::move(pods)).first->second;
 }
 
 std::vector<double> FatTreeAllocator::candidate_qualities(
@@ -553,21 +551,13 @@ double FatTreeAllocator::block_quality(std::int64_t size) const {
 std::optional<Partition> FatTreeAllocator::try_place(std::int64_t size,
                                                      std::size_t candidate,
                                                      std::int64_t job_id) {
-  const auto pods = pods_for(size);
-  const std::int64_t p = pods.at(candidate);
+  const std::int64_t p = pods_for(size).at(candidate);
   const std::int64_t per_pod = size / p;
-  const auto chosen =
-      position_scoring() == PositionScoring::kBestFit
-          ? pick_containers_best_fit(owner_, config_.k / 2, p, per_pod)
-          : pick_containers(owner_, config_.k / 2, p, per_pod);
-  if (chosen.empty()) return std::nullopt;
-  occupy_containers(owner_, config_.k / 2, chosen, per_pod, job_id);
-  free_ -= size;
+  const auto pods = occupancy_.place(p, per_pod, position_scoring(), job_id);
+  if (pods.empty()) return std::nullopt;
   const double quality = block_quality(size);
   Partition partition;
-  std::ostringstream label;
-  label << per_pod << "st x " << p << "pod@" << container_list(chosen);
-  partition.label = label.str();
+  partition.label = container_label(per_pod, "st x ", "pod@{", pods);
   partition.units = size;
   partition.quality = quality;
   partition.best_quality = quality;
@@ -575,7 +565,7 @@ std::optional<Partition> FatTreeAllocator::try_place(std::int64_t size,
 }
 
 std::int64_t FatTreeAllocator::release(std::int64_t job_id) {
-  return generic_release(owner_, free_, job_id);
+  return occupancy_.release(job_id);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,11 +30,13 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bgq/policy.hpp"
 #include "core/advisor.hpp"
+#include "support/hot.hpp"
 #include "topo/descriptor.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
@@ -228,6 +230,42 @@ class PartitionAllocator {
 // Family implementations.
 // ---------------------------------------------------------------------------
 
+/// Occupancy of a machine carved into equal containers of allocation units
+/// — dragonfly groups of chassis, fat-tree pods of edge subtrees. Keeps the
+/// unit owner array and each container's free count, updated on occupy and
+/// release, so a placement reads one count per container instead of
+/// recounting its units.
+class ContainerOccupancy {
+ public:
+  ContainerOccupancy() = default;
+  ContainerOccupancy(std::int64_t containers, std::int64_t container_size);
+
+  std::int64_t free_units() const { return free_units_; }
+
+  /// Picks `blocks` containers holding at least `per_block` free units each
+  /// and occupies the lowest-id free units of each for `job_id`. Both
+  /// scoring modes rank the qualifying containers by one key with ties by
+  /// ascending id: kScanOrder ranks them all equal (first qualifying ids),
+  /// kBestFit by free slack (tightest first). Returns the chosen ids in
+  /// ascending order — a view of scratch the next call overwrites — or an
+  /// empty span, occupying nothing, when fewer than `blocks` qualify.
+  NPAC_HOT std::span<const std::int64_t> place(std::int64_t blocks,
+                                               std::int64_t per_block,
+                                               PositionScoring scoring,
+                                               std::int64_t job_id);
+
+  /// Frees every unit owned by `job_id`. Returns the number freed (0 for an
+  /// id that holds nothing).
+  std::int64_t release(std::int64_t job_id);
+
+ private:
+  std::int64_t container_size_ = 1;
+  std::vector<std::int64_t> owner_;           // unit -> job id, -1 = free
+  std::vector<std::int64_t> container_free_;  // free units per container
+  std::vector<std::int64_t> scratch_;         // picker scratch, per container
+  std::int64_t free_units_ = 0;
+};
+
 /// Blue Gene/Q torus family: the pre-refactor MidplaneGrid scheduling path.
 /// Layout classes are the distinct same-size cuboid geometries sorted best
 /// bisection first; placement scans all orientations and origins in
@@ -283,7 +321,9 @@ class DragonflyAllocator final : public PartitionAllocator {
   std::string descriptor() const override;
   std::string family() const override { return "dragonfly"; }
   std::int64_t total_units() const override;
-  std::int64_t free_units() const override { return free_; }
+  std::int64_t free_units() const override {
+    return occupancy_.free_units();
+  }
   std::vector<double> candidate_qualities(std::int64_t size) const override;
   std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
                                      std::int64_t job_id) override;
@@ -301,8 +341,7 @@ class DragonflyAllocator final : public PartitionAllocator {
  private:
   topo::DragonflyConfig config_;
   const PartitionOracle* oracle_;
-  std::vector<std::int64_t> owner_;  // chassis -> job id, -1 = free
-  std::int64_t free_ = 0;
+  ContainerOccupancy occupancy_;  // groups of h chassis
   mutable std::map<std::int64_t, std::vector<Layout>> layouts_;
 };
 
@@ -321,22 +360,25 @@ class FatTreeAllocator final : public PartitionAllocator {
   std::string descriptor() const override;
   std::string family() const override { return "fattree"; }
   std::int64_t total_units() const override;
-  std::int64_t free_units() const override { return free_; }
+  std::int64_t free_units() const override {
+    return occupancy_.free_units();
+  }
   std::vector<double> candidate_qualities(std::int64_t size) const override;
   std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
                                      std::int64_t job_id) override;
   std::int64_t release(std::int64_t job_id) override;
 
-  /// Pods spanned by layout class `candidate` of a size (compact first).
-  std::vector<std::int64_t> pods_for(std::int64_t size) const;
+  /// Pods spanned by each layout class of a size (compact first),
+  /// memoized per size like DragonflyAllocator::layouts_for.
+  const std::vector<std::int64_t>& pods_for(std::int64_t size) const;
 
  private:
   /// The flat Clos quality of any s-subtree block: s * k/4 * capacity.
   double block_quality(std::int64_t size) const;
 
   topo::FatTreeConfig config_;
-  std::vector<std::int64_t> owner_;  // edge subtree -> job id, -1 = free
-  std::int64_t free_ = 0;
+  ContainerOccupancy occupancy_;  // k pods of k/2 edge subtrees
+  mutable std::map<std::int64_t, std::vector<std::int64_t>> pods_;
 };
 
 // ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ ScheduleResult simulate_schedule(const bgq::Machine& machine,
                                  SchedulerPolicy policy, std::vector<Job> jobs,
                                  const PartitionOracle& oracle);
 
+/// Contention-bound slowdown best / assigned. A partition with no internal
+/// bisection cannot carry contention-bound traffic at any finite rate; it
+/// is only accepted when the best same-size layout is equally degenerate
+/// (the ratio is then 1), otherwise std::invalid_argument.
+double bisection_slowdown(double best, double assigned);
+
 /// Runtime of a contention-bound job on `assigned` relative to the best
 /// same-size geometry: base * best_bw / assigned_bw.
 double contention_runtime_seconds(const bgq::Machine& machine,

@@ -14,16 +14,27 @@ namespace {
 
 constexpr std::size_t kFullScan = static_cast<std::size_t>(-1);
 
-/// Contention-bound slowdown best / assigned (same contract as the
-/// scheduler module: a zero-bisection partition only passes when the best
-/// same-size layout is equally degenerate).
-double bisection_slowdown(double best, double assigned) {
-  if (assigned == 0.0) {
-    if (best == 0.0) return 1.0;
-    throw std::invalid_argument(
-        "bisection slowdown: assigned geometry has zero bisection");
+/// The boundary check every pulled job passes once: a finite non-negative
+/// arrival, a finite positive base runtime and at least one unit. A NaN
+/// arrival would otherwise never be admitted and a negative runtime would
+/// finish before it starts.
+void validate(const Job& job) {
+  const auto reject = [&job](const std::string& problem) {
+    throw std::invalid_argument("StreamingScheduler: job " +
+                                std::to_string(job.id) + " " + problem);
+  };
+  if (!(std::isfinite(job.arrival_seconds) && job.arrival_seconds >= 0.0)) {
+    reject("arrives at " + std::to_string(job.arrival_seconds) +
+           "s — arrivals must be finite and non-negative");
   }
-  return best / assigned;
+  if (!(std::isfinite(job.base_seconds) && job.base_seconds > 0.0)) {
+    reject("has base runtime " + std::to_string(job.base_seconds) +
+           "s — runtimes must be finite and positive");
+  }
+  if (job.midplanes < 1) {
+    reject("requests " + std::to_string(job.midplanes) +
+           " units — sizes must be at least 1");
+  }
 }
 
 }  // namespace
@@ -124,24 +135,24 @@ StreamStats StreamingScheduler::run(JobSource& source,
   double now = 0.0;
 
   // One-job lookahead: the only part of the unscheduled future ever held.
-  std::optional<Job> pending = source.next();
-  double last_arrival = pending ? pending->arrival_seconds
-                                : -std::numeric_limits<double>::infinity();
-
+  // Every job is validated here, where it enters, so the loop below only
+  // ever sees finite times.
+  std::optional<Job> pending;
+  double last_arrival = 0.0;
   const auto pull_next = [&] {
     pending = source.next();
-    if (pending) {
-      if (pending->arrival_seconds < last_arrival) {
-        throw std::invalid_argument(
-            "StreamingScheduler: job " + std::to_string(pending->id) +
-            " arrives at " + std::to_string(pending->arrival_seconds) +
-            "s, before the previous arrival at " +
-            std::to_string(last_arrival) + "s — arrivals must be "
-            "non-decreasing");
-      }
-      last_arrival = pending->arrival_seconds;
+    if (!pending) return;
+    validate(*pending);
+    if (pending->arrival_seconds < last_arrival) {
+      throw std::invalid_argument(
+          "StreamingScheduler: job " + std::to_string(pending->id) +
+          " arrives at " + std::to_string(pending->arrival_seconds) +
+          "s, before the previous arrival at " + std::to_string(last_arrival) +
+          "s — arrivals must be non-decreasing");
     }
+    last_arrival = pending->arrival_seconds;
   };
+  pull_next();
 
   const auto note_resident = [&] {
     const std::size_t resident =
@@ -315,11 +326,12 @@ StreamStats StreamingScheduler::run(JobSource& source,
     // Advance to the next event: a completion or the pending arrival.
     double next_event = std::numeric_limits<double>::infinity();
     if (!heap.empty()) next_event = heap.front().finish_seconds;
-    if (pending) {
-      next_event = std::min(next_event, pending->arrival_seconds);
-    }
+    if (pending) next_event = std::min(next_event, pending->arrival_seconds);
     if (!std::isfinite(next_event)) {
       if (placed_any) continue;
+      // Validated arrivals are finite, so nothing is pending, and the
+      // drained case broke out above, so the queue is not empty: its head
+      // waits for a completion that never comes.
       const Job& head = queue.front();
       throw std::logic_error(
           "StreamingScheduler: deadlock — job " + std::to_string(head.id) +

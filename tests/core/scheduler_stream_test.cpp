@@ -401,6 +401,60 @@ TEST(StreamingSchedulerTest, InfeasibleSizeThrowNamesJob) {
   }
 }
 
+/// Runs `jobs` through a Mira StreamingScheduler and returns the message of
+/// the std::invalid_argument it must throw.
+std::string rejection(std::vector<Job> jobs) {
+  CuboidAllocator allocator(bgq::mira());
+  StreamingScheduler scheduler(allocator, SchedulerPolicy::kBestBisection);
+  VectorJobSource source(std::move(jobs));
+  try {
+    scheduler.run(source, nullptr);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument";
+  return "";
+}
+
+TEST(StreamingSchedulerTest, RejectsNonFiniteOrNegativeArrivalNamingJob) {
+  // A NaN or +inf arrival is never admitted: unchecked, the loop runs out
+  // of events with the job still pending and an empty queue.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double arrival : {nan, inf, -inf, -1.0}) {
+    SCOPED_TRACE(arrival);
+    const std::string first = rejection({make_job(7, 1, 1.0, true, arrival)});
+    EXPECT_NE(first.find("job 7 arrives"), std::string::npos) << first;
+    const std::string later = rejection(
+        {make_job(0, 1, 1.0, true, 0.0), make_job(8, 1, 1.0, true, arrival)});
+    EXPECT_NE(later.find("job 8 arrives"), std::string::npos) << later;
+  }
+}
+
+TEST(StreamingSchedulerTest, RejectsNonPositiveOrNonFiniteRuntimeNamingJob) {
+  // A negative runtime would finish before it starts; a NaN one poisons
+  // the completion order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double seconds : {nan, -2.0, 0.0, inf}) {
+    SCOPED_TRACE(seconds);
+    const std::string message = rejection(
+        {make_job(0, 1, 1.0, true, 0.0), make_job(9, 1, seconds, true, 1.0)});
+    EXPECT_NE(message.find("job 9 has base runtime"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(StreamingSchedulerTest, RejectsEmptyJobNamingJob) {
+  for (const std::int64_t size : {std::int64_t{0}, std::int64_t{-3}}) {
+    const std::string message = rejection({make_job(11, size, 1.0)});
+    EXPECT_NE(message.find("job 11 requests " + std::to_string(size) +
+                           " units"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(StreamingSchedulerTest, ResidentJobsBoundedByInFlightNotTraceLength) {
   // Widely spaced arrivals: each job finishes long before the next lands,
   // so no matter how long the stream is, at most a couple of jobs are
