@@ -160,6 +160,7 @@ void MidplaneGrid::occupy(const Placement& placement, std::int64_t job_id) {
 }
 
 std::int64_t MidplaneGrid::release(std::int64_t job_id) {
+  if (job_id < 0) return 0;  // never an owner; -1 marks free cells
   std::int64_t freed = 0;
   for (auto& owner : owner_) {
     if (owner == job_id) {
@@ -356,6 +357,11 @@ ContainerOccupancy::ContainerOccupancy(std::int64_t containers,
 NPAC_HOT std::span<const std::int64_t> ContainerOccupancy::place(
     std::int64_t blocks, std::int64_t per_block, PositionScoring scoring,
     std::int64_t job_id) {
+  // -1 marks a free unit, so a negative owner would corrupt the counts.
+  if (job_id < 0) {
+    throw std::invalid_argument(
+        "ContainerOccupancy::place: job id must be >= 0");
+  }
   std::size_t qualifying = 0;
   for (std::size_t c = 0; c < container_free_.size(); ++c) {
     if (container_free_[c] >= per_block) {
@@ -380,7 +386,9 @@ NPAC_HOT std::span<const std::int64_t> ContainerOccupancy::place(
   const std::span<const std::int64_t> chosen(first, last_chosen);
   for (const std::int64_t c : chosen) {
     std::int64_t taken = 0;
-    for (std::int64_t u = c * container_size_; taken < per_block; ++u) {
+    const std::int64_t end = (c + 1) * container_size_;
+    for (std::int64_t u = c * container_size_; taken < per_block && u < end;
+         ++u) {
       auto& cell = owner_[static_cast<std::size_t>(u)];
       if (cell == -1) {
         cell = job_id;
@@ -394,6 +402,7 @@ NPAC_HOT std::span<const std::int64_t> ContainerOccupancy::place(
 }
 
 std::int64_t ContainerOccupancy::release(std::int64_t job_id) {
+  if (job_id < 0) return 0;  // never an owner; -1 marks free units
   std::int64_t freed = 0;
   for (std::size_t u = 0; u < owner_.size(); ++u) {
     if (owner_[u] == job_id) {

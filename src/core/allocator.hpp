@@ -249,13 +249,14 @@ class ContainerOccupancy {
   /// kBestFit by free slack (tightest first). Returns the chosen ids in
   /// ascending order — a view of scratch the next call overwrites — or an
   /// empty span, occupying nothing, when fewer than `blocks` qualify.
+  /// Throws std::invalid_argument for a negative `job_id`.
   NPAC_HOT std::span<const std::int64_t> place(std::int64_t blocks,
                                                std::int64_t per_block,
                                                PositionScoring scoring,
                                                std::int64_t job_id);
 
   /// Frees every unit owned by `job_id`. Returns the number freed (0 for an
-  /// id that holds nothing).
+  /// id that holds nothing, including any negative id).
   std::int64_t release(std::int64_t job_id);
 
  private:

@@ -23,6 +23,7 @@ void validate(const Job& job) {
     throw std::invalid_argument("StreamingScheduler: job " +
                                 std::to_string(job.id) + " " + problem);
   };
+  if (job.id < 0) reject("has a negative id — ids must be >= 0");
   if (!(std::isfinite(job.arrival_seconds) && job.arrival_seconds >= 0.0)) {
     reject("arrives at " + std::to_string(job.arrival_seconds) +
            "s — arrivals must be finite and non-negative");

@@ -124,8 +124,10 @@ class StreamingScheduler {
   StreamingScheduler(PartitionAllocator& allocator, SchedulerPolicy policy);
 
   /// Drains `source`, emitting every placed job through `sink`. Throws
-  /// `std::invalid_argument` on a non-empty allocator, decreasing
-  /// arrivals, or an infeasible job size (naming the job id).
+  /// `std::invalid_argument` on a non-empty allocator, a negative job id,
+  /// a non-finite or negative arrival, a non-finite or non-positive
+  /// runtime, a size below 1, decreasing arrivals, or an infeasible job
+  /// size (naming the job id).
   StreamStats run(JobSource& source, const ScheduledJobSink& sink);
 
  private:

@@ -161,6 +161,8 @@ TEST(CuboidAllocatorTest, PlaceAndReleaseTrackUnits) {
   EXPECT_EQ(partition->cuboid->midplanes(), 8);
   EXPECT_EQ(partition->quality, partition->best_quality);  // class 0 = best
   EXPECT_EQ(allocator.free_units(), 88);
+  EXPECT_EQ(allocator.release(-1), 0);  // -1 marks free cells, not a job
+  EXPECT_EQ(allocator.free_units(), 88);
   EXPECT_EQ(allocator.release(3), 8);
   EXPECT_EQ(allocator.free_units(), 96);
 }

@@ -12,6 +12,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -289,9 +290,22 @@ TEST(ClosOccupancyTest, ReleasingAnUnknownIdFreesNothing) {
     const std::int64_t free = allocator->free_units();
     EXPECT_EQ(allocator->release(6), 0);  // never placed
     EXPECT_EQ(allocator->free_units(), free);
+    // -1 marks free units: releasing it frees nothing and placing for it
+    // is refused, so the per-container counts stay exact.
+    EXPECT_EQ(allocator->release(-1), 0);
+    EXPECT_EQ(allocator->free_units(), free);
+    EXPECT_THROW(allocator->try_place(3, 0, -1), std::invalid_argument);
+    EXPECT_EQ(allocator->free_units(), free);
+    EXPECT_EQ(allocator->release(-1), 0);
+    EXPECT_EQ(allocator->free_units(), free);
     EXPECT_EQ(allocator->release(5), 3);
     EXPECT_EQ(allocator->release(5), 0);  // already released
     EXPECT_EQ(allocator->free_units(), allocator->total_units());
+    // The machine still fills exactly to capacity, one unit per job.
+    std::int64_t placed = 0;
+    for (std::int64_t id = 0; allocator->try_place(1, 0, id); ++id) ++placed;
+    EXPECT_EQ(placed, allocator->total_units());
+    EXPECT_EQ(allocator->free_units(), 0);
   }
 }
 

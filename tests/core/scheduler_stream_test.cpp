@@ -455,6 +455,14 @@ TEST(StreamingSchedulerTest, RejectsEmptyJobNamingJob) {
   }
 }
 
+TEST(StreamingSchedulerTest, RejectsNegativeIdNamingJob) {
+  // -1 is the allocators' free-cell marker, so it can never own a unit.
+  const std::string message =
+      rejection({make_job(0, 1, 1.0, true, 0.0), make_job(-1, 1, 1.0)});
+  EXPECT_NE(message.find("job -1 has a negative id"), std::string::npos)
+      << message;
+}
+
 TEST(StreamingSchedulerTest, ResidentJobsBoundedByInFlightNotTraceLength) {
   // Widely spaced arrivals: each job finishes long before the next lands,
   // so no matter how long the stream is, at most a couple of jobs are
