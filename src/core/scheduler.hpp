@@ -17,6 +17,7 @@
 // differ in how they weigh utilization against partition quality.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,31 +69,39 @@ struct ScheduledJob {
   double slowdown = 1.0;
 };
 
-struct ScheduleResult {
-  std::vector<ScheduledJob> jobs;
+/// Aggregate outcome of one scheduler run: what the streaming core returns
+/// after its per-job records went through the sink.
+struct StreamStats {
+  std::uint64_t jobs = 0;            ///< records emitted
+  std::uint64_t events = 0;          ///< arrivals + completions + placements
+  std::uint64_t backfill_hits = 0;   ///< jobs placed ahead of a blocked head
+  std::uint64_t rescans_skipped = 0; ///< placement scans the index elided
+  std::size_t peak_resident_jobs = 0;  ///< max waiting + running + lookahead
   double makespan_seconds = 0.0;
-  double mean_slowdown = 1.0;       ///< over contention-bound jobs
-  double mean_wait_seconds = 0.0;   ///< queue wait over all jobs
+  double mean_slowdown = 1.0;      ///< over contention-bound jobs
+  double mean_wait_seconds = 0.0;  ///< queue wait over all jobs
+};
+
+/// A materialized run: the core's stats plus every record, in id order.
+/// `jobs` hides the `StreamStats::jobs` count, which equals `jobs.size()`.
+struct ScheduleResult : StreamStats {
+  std::vector<ScheduledJob> jobs;
 };
 
 /// Event-driven FCFS simulation of `jobs` on `allocator`'s machine under
-/// `policy`. Jobs must have non-decreasing arrival times and feasible
-/// sizes; the allocator must start empty and is left empty of these jobs'
-/// allocations only if every job finished (it is mutated in place).
+/// `policy`: a `StreamingScheduler` (scheduler_stream.hpp) run whose sink
+/// collects the records. Jobs must have non-decreasing arrival times and
+/// feasible sizes (the core throws naming the first offender); the
+/// allocator must start empty and is mutated in place.
 ScheduleResult simulate_schedule(PartitionAllocator& allocator,
                                  SchedulerPolicy policy,
                                  std::vector<Job> jobs);
 
 /// Torus-family convenience: simulates on a fresh CuboidAllocator over
-/// `machine` — the pre-refactor entry point, bit-exact with it.
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy,
-                                 std::vector<Job> jobs);
-
-/// Same with geometry/bisection lookups routed through `oracle`.
-ScheduleResult simulate_schedule(const bgq::Machine& machine,
-                                 SchedulerPolicy policy, std::vector<Job> jobs,
-                                 const PartitionOracle& oracle);
+/// `machine`, with geometry/bisection lookups routed through `oracle`.
+ScheduleResult simulate_schedule(
+    const bgq::Machine& machine, SchedulerPolicy policy, std::vector<Job> jobs,
+    const PartitionOracle& oracle = default_partition_oracle());
 
 /// Contention-bound slowdown best / assigned. A partition with no internal
 /// bisection cannot carry contention-bound traffic at any finite rate; it

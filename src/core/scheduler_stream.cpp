@@ -38,6 +38,28 @@ void validate(const Job& job) {
   }
 }
 
+/// Records `record` on the simulated timeline (obs::kSimPid): one "wait"
+/// span (arrival -> start, when it queued) and one "run" span (start ->
+/// finish), simulated seconds scaled to microsecond timestamps, the job id
+/// as the lane.
+void add_sim_spans(obs::TraceBuffer& trace, const ScheduledJob& record,
+                   const std::string& suffix) {
+  const auto us = [](double seconds) {
+    return static_cast<std::int64_t>(seconds * 1e6);
+  };
+  const int lane = static_cast<int>(record.job.id);
+  const std::string label = "job" + std::to_string(record.job.id) + " size " +
+                            std::to_string(record.job.midplanes) + suffix;
+  if (record.start_seconds > record.job.arrival_seconds) {
+    trace.add_span("wait " + label, "sched.sim", obs::kSimPid, lane,
+                   us(record.job.arrival_seconds),
+                   us(record.start_seconds - record.job.arrival_seconds));
+  }
+  trace.add_span("run " + label, "sched.sim", obs::kSimPid, lane,
+                 us(record.start_seconds),
+                 us(record.finish_seconds - record.start_seconds));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -108,11 +130,18 @@ StreamStats StreamingScheduler::run(JobSource& source,
   // check here and per placement/release below.
   obs::Registry* const registry = obs::Registry::current();
   obs::Histogram* frag_histogram = nullptr;
+  obs::TraceBuffer* sim_trace = nullptr;
+  std::string sim_suffix;  // " [<policy> on <family>]" on every span name
   if (registry != nullptr) {
     static const std::vector<double> kFractionBounds = {
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
     frag_histogram = &registry->histogram(
         "sched.frag." + allocator_.family(), kFractionBounds);
+    if (registry->tracing()) {
+      sim_trace = &registry->trace();
+      sim_suffix =
+          " [" + to_string(policy_) + " on " + allocator_.family() + "]";
+    }
   }
   const double total_units = static_cast<double>(allocator_.total_units());
   const auto observe_fragmentation = [&] {
@@ -230,6 +259,7 @@ StreamStats StreamingScheduler::run(JobSource& source,
     ++stats.jobs;
     ++stats.events;
     observe_fragmentation();
+    if (sim_trace != nullptr) add_sim_spans(*sim_trace, record, sim_suffix);
     if (sink) sink(record);
   };
 

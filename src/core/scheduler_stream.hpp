@@ -1,22 +1,21 @@
-// Streaming event-driven scheduler core.
+// Streaming event-driven scheduler core — the one schedule path.
 //
-// `simulate_schedule` (scheduler.hpp) replays a materialized job vector:
-// memory grows with trace length and every wake-up re-enumerates candidate
-// layouts from scratch. This module is the long-running engine underneath
-// it: a binary-heap event queue over completion events (O(log n) per
-// event), arrivals pulled incrementally from a `JobSource` so resident
-// memory is bounded by the number of in-flight jobs (waiting + running),
-// and `ScheduledJob` records emitted through a sink callback instead of
+// A binary-heap event queue over completion events (O(log n) per event),
+// arrivals pulled incrementally from a `JobSource` so resident memory is
+// bounded by the number of in-flight jobs (waiting + running), and
+// `ScheduledJob` records emitted through a sink callback instead of
 // accumulating a result vector. The hot loop avoids re-scans with a
 // `FreeLayoutIndex`: a per-size memo of candidate qualities plus a
 // release-epoch fail cache — a placement class that failed stays failed
 // until some job releases units (occupying more units can only shrink the
 // free set), so blocked wake-ups are skipped in O(log n).
 //
-// The wrapper `simulate_schedule` runs on this core and is bit-exact with
-// the pre-refactor replay loop (golden digests in tests/core pin it); the
-// extra `SchedulerPolicy::kEasyBackfill` discipline is only reachable
-// here and through the wrapper by explicit request.
+// The core checks every job where it enters, accumulates the `StreamStats`
+// and, when a tracing registry is installed, records each placed job on
+// the simulated timeline (obs::kSimPid) as it is emitted. The
+// materializing `simulate_schedule` (scheduler.hpp) is only a collecting
+// sink over this core; the golden digests in tests/core pin both bit-exact
+// with the pre-refactor replay loop.
 #pragma once
 
 #include <cstddef>
@@ -97,19 +96,6 @@ class FreeLayoutIndex {
   std::map<std::pair<std::int64_t, std::size_t>, std::uint64_t> blocked_;
   std::uint64_t release_epoch_ = 0;
   mutable std::uint64_t rescans_skipped_ = 0;
-};
-
-/// Aggregate outcome of one streamed run (the scalar half of the old
-/// ScheduleResult; per-job records went through the sink).
-struct StreamStats {
-  std::uint64_t jobs = 0;            ///< records emitted
-  std::uint64_t events = 0;          ///< arrivals + completions + placements
-  std::uint64_t backfill_hits = 0;   ///< jobs placed ahead of a blocked head
-  std::uint64_t rescans_skipped = 0; ///< placement scans the index elided
-  std::size_t peak_resident_jobs = 0;  ///< max waiting + running + lookahead
-  double makespan_seconds = 0.0;
-  double mean_slowdown = 1.0;      ///< over contention-bound jobs
-  double mean_wait_seconds = 0.0;  ///< queue wait over all jobs
 };
 
 /// Callback invoked once per job, at placement time, in placement order.

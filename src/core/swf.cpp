@@ -22,6 +22,18 @@ double unit_hash(std::uint64_t x) {
   return static_cast<double>(splitmix64(x) >> 11) * 0x1.0p-53;
 }
 
+/// `value` truncated to int64_t; std::invalid_argument naming the line
+/// when the cast would be undefined (NaN, or outside [-2^63, 2^63)).
+std::int64_t to_int64(double value, const char* field,
+                      std::size_t line_number) {
+  if (!(value >= -0x1p63 && value < 0x1p63)) {
+    throw std::invalid_argument("parse_swf: line " +
+                                std::to_string(line_number) + " has a " +
+                                field + " outside the int64 range");
+  }
+  return static_cast<std::int64_t>(value);
+}
+
 }  // namespace
 
 std::vector<Job> parse_swf(const std::string& text,
@@ -70,12 +82,15 @@ std::vector<Job> parse_swf(const std::string& text,
     if (runtime <= 0.0 || procs <= 0.0) continue;  // cancelled/failed rows
 
     Job job;
-    job.id = static_cast<std::int64_t>(fields[0]);
+    job.id = to_int64(fields[0], "job id", line_number);
     job.arrival_seconds = fields[1];
     job.base_seconds = runtime;
+    // Ceiling division that cannot overflow near the top of the range.
+    const std::int64_t procs_count =
+        to_int64(procs, "processor count", line_number);
     const std::int64_t units =
-        (static_cast<std::int64_t>(procs) + options.procs_per_unit - 1) /
-        options.procs_per_unit;
+        procs_count / options.procs_per_unit +
+        (procs_count % options.procs_per_unit != 0 ? 1 : 0);
     if (pool.empty()) {
       job.midplanes = units;
     } else {

@@ -47,7 +47,8 @@ struct SwfOptions {
 
 /// Parses SWF `text` into an arrival-sorted job stream (stable on ties, so
 /// equal submit times keep file order). Throws std::invalid_argument on
-/// malformed numeric fields or short rows, naming the line number.
+/// malformed numeric fields, short rows, or a job id or processor count
+/// outside the int64 range, naming the line number.
 std::vector<Job> parse_swf(const std::string& text,
                            const SwfOptions& options = {});
 

@@ -37,7 +37,7 @@ std::vector<std::int64_t> default_trace_sizes(const bgq::Machine& machine) {
 std::vector<core::Job> generate_trace(const bgq::Machine& machine,
                                       const TraceConfig& config,
                                       std::uint64_t seed) {
-  // Config validation lives in the size-pool overload this delegates to.
+  // The SyntheticJobSource behind the size-pool overload checks config.
   std::vector<std::int64_t> sizes;
   if (config.sizes.empty()) {
     sizes = default_trace_sizes(machine);  // already feasibility-filtered
@@ -51,14 +51,15 @@ std::vector<core::Job> generate_trace(const bgq::Machine& machine,
       }
     }
   }
-  TraceConfig pooled = config;
-  pooled.sizes = std::move(sizes);
-  return generate_trace(pooled.sizes, pooled, seed);
+  return generate_trace(sizes, config, seed);
 }
 
-std::vector<core::Job> generate_trace(
-    const std::vector<std::int64_t>& size_pool, const TraceConfig& config,
-    std::uint64_t seed) {
+namespace {
+
+/// Every TraceConfig field check, plus the empty-pool throw: run once by
+/// SyntheticJobSource's constructor, which every trace is drawn through.
+void check_trace_config(const TraceConfig& config,
+                        const std::vector<std::int64_t>& size_pool) {
   if (config.num_jobs < 0) {
     throw std::invalid_argument("generate_trace: num_jobs must be >= 0");
   }
@@ -75,47 +76,32 @@ std::vector<core::Job> generate_trace(
     throw std::invalid_argument(
         "generate_trace: need 0 < min_base_seconds <= max_base_seconds");
   }
-  const std::vector<std::int64_t>& sizes = size_pool;
-  if (sizes.empty()) {
+  if (size_pool.empty()) {
     throw std::invalid_argument("generate_trace: no allocatable job sizes");
   }
+}
 
-  std::uint64_t state = seed;
+}  // namespace
+
+std::vector<core::Job> generate_trace(
+    const std::vector<std::int64_t>& size_pool, const TraceConfig& config,
+    std::uint64_t seed) {
+  SyntheticJobSource source(size_pool, config, seed);  // checks config
   std::vector<core::Job> jobs;
   jobs.reserve(static_cast<std::size_t>(config.num_jobs));
-  double arrival = 0.0;
-  for (int i = 0; i < config.num_jobs; ++i) {
-    // Draw order is part of the format: size, base, contention, gap.
-    core::Job job;
-    job.id = i;
-    job.midplanes = sizes[static_cast<std::size_t>(
-        next_u64(state) % static_cast<std::uint64_t>(sizes.size()))];
-    job.base_seconds =
-        config.min_base_seconds +
-        next_unit(state) * (config.max_base_seconds - config.min_base_seconds);
-    job.contention_bound = next_unit(state) < config.contention_fraction;
-    arrival += -config.mean_interarrival_seconds *
-               std::log(1.0 - next_unit(state));
-    job.arrival_seconds = arrival;
-    jobs.push_back(job);
-  }
+  while (std::optional<core::Job> job = source.next()) jobs.push_back(*job);
   return jobs;
 }
 
 SyntheticJobSource::SyntheticJobSource(std::vector<std::int64_t> size_pool,
                                        TraceConfig config, std::uint64_t seed)
     : sizes_(std::move(size_pool)), config_(std::move(config)), state_(seed) {
-  // Reuse generate_trace's validation (including the empty-pool throw)
-  // without materializing anything: a zero-job run checks every field.
-  TraceConfig probe = config_;
-  probe.num_jobs = 0;
-  generate_trace(sizes_, probe, seed);
+  check_trace_config(config_, sizes_);
 }
 
 std::optional<core::Job> SyntheticJobSource::next() {
   if (produced_ >= config_.num_jobs) return std::nullopt;
-  // Draw order is part of the format: size, base, contention, gap —
-  // identical to the generate_trace loop body.
+  // Draw order is part of the format: size, base, contention, gap.
   core::Job job;
   job.id = produced_;
   job.midplanes = sizes_[static_cast<std::size_t>(
@@ -215,11 +201,12 @@ std::vector<core::Job> parse_trace(const std::string& text) {
       }
       throw malformed();
     };
+    // stod accepts "nan" and "inf"; a trace time must be a finite number.
     const auto parse_double = [&](const std::string& field) -> double {
       try {
         std::size_t pos = 0;
         const double value = std::stod(field, &pos);
-        if (pos == field.size()) return value;
+        if (pos == field.size() && std::isfinite(value)) return value;
       } catch (const std::exception&) {
       }
       throw malformed();
@@ -233,19 +220,6 @@ std::vector<core::Job> parse_trace(const std::string& text) {
     jobs.push_back(job);
   }
   return jobs;
-}
-
-core::ScheduleResult replay_trace(const bgq::Machine& machine,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs,
-                                  const core::PartitionOracle& oracle) {
-  return core::simulate_schedule(machine, policy, jobs, oracle);
-}
-
-core::ScheduleResult replay_trace(core::PartitionAllocator& allocator,
-                                  core::SchedulerPolicy policy,
-                                  const std::vector<core::Job>& jobs) {
-  return core::simulate_schedule(allocator, policy, jobs);
 }
 
 }  // namespace npac::sweep

@@ -12,11 +12,14 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
 #include "core/scheduler.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/trace.hpp"
 #include "topo/descriptor.hpp"
 
@@ -294,6 +297,70 @@ TEST(StreamingSchedulerTest, SinkSeesPlacementOrderAndStatsMatchResult) {
   EXPECT_EQ(stats.makespan_seconds, wrapped.makespan_seconds);
   EXPECT_EQ(stats.mean_slowdown, wrapped.mean_slowdown);
   EXPECT_EQ(stats.mean_wait_seconds, wrapped.mean_wait_seconds);
+  // The wrapper carries the core's stats whole.
+  EXPECT_EQ(stats.jobs, wrapped.StreamStats::jobs);
+  EXPECT_EQ(stats.events, wrapped.events);
+  EXPECT_EQ(stats.rescans_skipped, wrapped.rescans_skipped);
+  EXPECT_EQ(stats.peak_resident_jobs, wrapped.peak_resident_jobs);
+}
+
+/// (name, lane, start, duration) of every simulated-timeline span in
+/// `registry`'s trace, sorted; asserts each sits on the sim lane.
+std::vector<std::tuple<std::string, int, std::int64_t, std::int64_t>>
+sim_spans(const obs::Registry& registry) {
+  std::vector<std::tuple<std::string, int, std::int64_t, std::int64_t>> spans;
+  for (const obs::TraceEvent& event : registry.trace().snapshot()) {
+    if (event.category != "sched.sim") continue;
+    EXPECT_EQ(event.pid, obs::kSimPid) << event.name;
+    spans.emplace_back(event.name, event.tid, event.ts_us, event.dur_us);
+  }
+  std::sort(spans.begin(), spans.end());
+  return spans;
+}
+
+TEST(StreamingSchedulerTest, BothEntryPointsRecordTheSimulatedTimeline) {
+  // Two half-machine jobs fill Mira; the two later arrivals queue.
+  const std::vector<Job> jobs = {
+      make_job(0, 48, 10.0), make_job(1, 48, 10.0),
+      make_job(2, 48, 5.0, false, 1.0), make_job(3, 16, 5.0, true, 2.0)};
+  obs::Registry::Options options;
+  options.tracing = true;
+
+  obs::Registry streamed(options);
+  {
+    obs::ScopedRegistry scoped(streamed);
+    CuboidAllocator allocator(bgq::mira());
+    StreamingScheduler scheduler(allocator, SchedulerPolicy::kBestBisection);
+    VectorJobSource source(jobs);
+    scheduler.run(source, nullptr);
+  }
+  const auto streamed_spans = sim_spans(streamed);
+
+  // One run span per job and one wait span per job that queued.
+  const auto schedule =
+      simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+  std::vector<std::string> expected;
+  for (const ScheduledJob& record : schedule.jobs) {
+    const std::string label = "job" + std::to_string(record.job.id) +
+                              " size " + std::to_string(record.job.midplanes) +
+                              " [best-bisection on cuboid]";
+    expected.push_back("run " + label);
+    if (record.start_seconds > record.job.arrival_seconds) {
+      expected.push_back("wait " + label);
+    }
+  }
+  EXPECT_EQ(expected.size(), jobs.size() + 2);  // jobs 2 and 3 waited
+  std::vector<std::string> names;
+  for (const auto& span : streamed_spans) names.push_back(std::get<0>(span));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names, expected);
+
+  obs::Registry wrapped(options);
+  {
+    obs::ScopedRegistry scoped(wrapped);
+    simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+  }
+  EXPECT_EQ(sim_spans(wrapped), streamed_spans);
 }
 
 TEST(StreamingSchedulerTest, EasyBackfillFillsHoleWithoutDelayingHead) {

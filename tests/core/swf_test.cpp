@@ -108,6 +108,32 @@ TEST(SwfTest, MalformedRowThrowsNamingLine) {
   }
 }
 
+TEST(SwfTest, UnrepresentableIdOrProcessorCountThrowsNamingLine) {
+  // Casting a double beyond int64_t's range is undefined behaviour; such a
+  // row must be rejected, not turned into a job with a garbage id or size.
+  for (const char* row :
+       {"1e300 0 0 10 1e300 -1 -1 -1 -1\n", "1e300 0 0 10 8 -1 -1 8 -1\n",
+        "1 0 0 10 -1 -1 -1 1e300 -1\n",
+        "1 0 0 10 9223372036854775808 -1 -1 -1 -1\n",
+        "-1e19 0 0 10 8 -1 -1 8 -1\n"}) {
+    try {
+      parse_swf(std::string("; header\n2 0 0 10 8 -1 -1 8 -1\n") + row);
+      FAIL() << "expected std::invalid_argument for " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+          << error.what();
+    }
+  }
+  // The largest processor count below 2^63 still rounds up to whole units
+  // without overflowing.
+  SwfOptions options;
+  options.procs_per_unit = 4096;
+  const auto jobs =
+      parse_swf("1 0 0 10 9223372036854774784 -1 -1 -1 -1\n", options);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].midplanes, std::int64_t{1} << 51);
+}
+
 TEST(SwfTest, ShortRowThrows) {
   EXPECT_THROW(parse_swf("1 0 0 120\n"), std::invalid_argument);
 }

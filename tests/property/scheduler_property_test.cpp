@@ -1,18 +1,25 @@
 // Property sweeps over the scheduler simulation: conservation (every job
 // runs exactly once), capacity (concurrent placements never exceed the
-// machine and never overlap), and policy dominance relations, across
-// machines and job mixes.
+// machine and never overlap), occupancy (free units match the running
+// jobs at every placement, on every allocator family and policy), and
+// policy dominance relations, across machines and job mixes.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+#include <vector>
+
+#include "core/allocator.hpp"
 #include "core/scheduler.hpp"
+#include "core/scheduler_stream.hpp"
+#include "topo/descriptor.hpp"
 
 namespace npac::core {
 namespace {
 
-std::vector<Job> mixed_stream(const bgq::Machine& machine, int count,
-                              std::uint64_t seed) {
-  // Deterministic pseudo-random stream of feasible sizes.
-  const auto sizes = bgq::feasible_sizes(machine);
+std::vector<Job> mixed_stream(const std::vector<std::int64_t>& sizes,
+                              int count, std::uint64_t seed) {
+  // Deterministic pseudo-random stream drawn from feasible `sizes`.
   std::vector<Job> jobs;
   std::uint64_t state = seed;
   const auto next = [&state]() {
@@ -41,7 +48,8 @@ TEST_P(SchedulerSweep, ConservationAndCapacity) {
   const auto& [machine_index, policy] = GetParam();
   const bgq::Machine machine =
       bgq::all_machines().at(static_cast<std::size_t>(machine_index));
-  const auto jobs = mixed_stream(machine, 40, 42 + machine_index);
+  const auto jobs =
+      mixed_stream(bgq::feasible_sizes(machine), 40, 42 + machine_index);
   const auto result = simulate_schedule(machine, policy, jobs);
 
   // Conservation: every job appears exactly once, with sane timing.
@@ -83,9 +91,65 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchedulerPolicy::kBestBisection,
                                          SchedulerPolicy::kWaitForBest)));
 
+/// Mira's cuboids, a 4/4/8 dragonfly, and a k = 8 fat-tree.
+std::unique_ptr<PartitionAllocator> family_allocator(int family) {
+  if (family == 0) return make_allocator(bgq::mira());
+  if (family == 1) {
+    topo::DragonflyConfig config;
+    config.a = 4;
+    config.h = 4;
+    config.groups = 8;
+    config.global_ports = 1;
+    return make_allocator(topo::TopologySpec::dragonfly(config));
+  }
+  return make_allocator(topo::TopologySpec::fat_tree(8));
+}
+
+class OccupancySweep
+    : public ::testing::TestWithParam<std::tuple<int, SchedulerPolicy>> {};
+
+TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
+  // At each placement the allocator must hold exactly the units of the
+  // jobs still running — including after kEasyBackfill's tentative
+  // place-and-release probes.
+  const auto& [family, policy] = GetParam();
+  const auto allocator = family_allocator(family);
+  const auto jobs =
+      mixed_stream(feasible_unit_sizes(*allocator), 60, 17 + family);
+  StreamingScheduler scheduler(*allocator, policy);
+  VectorJobSource source(jobs);
+  std::vector<ScheduledJob> emitted;
+  const auto stats = scheduler.run(source, [&](const ScheduledJob& record) {
+    emitted.push_back(record);
+    ASSERT_EQ(record.partition.units, record.job.midplanes);
+    std::int64_t held = 0;
+    for (const ScheduledJob& placed : emitted) {
+      if (placed.finish_seconds > record.start_seconds) {
+        held += placed.partition.units;
+      }
+    }
+    ASSERT_EQ(allocator->free_units(), allocator->total_units() - held)
+        << "after placing job " << record.job.id << " at t = "
+        << record.start_seconds;
+  });
+  EXPECT_EQ(emitted.size(), jobs.size());
+  if (policy == SchedulerPolicy::kEasyBackfill) {
+    EXPECT_GT(stats.backfill_hits, 0u);  // the rollback path did run
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndPolicies, OccupancySweep,
+    ::testing::Combine(::testing::Values(0, 1, 2),  // cuboid, dragonfly,
+                                                    // fat-tree
+                       ::testing::Values(SchedulerPolicy::kFirstFit,
+                                         SchedulerPolicy::kBestBisection,
+                                         SchedulerPolicy::kWaitForBest,
+                                         SchedulerPolicy::kEasyBackfill)));
+
 TEST(SchedulerDominanceTest, WaitForBestAlwaysAchievesSlowdownOne) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto jobs = mixed_stream(bgq::mira(), 30, seed);
+    const auto jobs = mixed_stream(bgq::feasible_sizes(bgq::mira()), 30, seed);
     const auto result = simulate_schedule(
         bgq::mira(), SchedulerPolicy::kWaitForBest, jobs);
     EXPECT_NEAR(result.mean_slowdown, 1.0, 1e-12) << "seed " << seed;
@@ -94,7 +158,8 @@ TEST(SchedulerDominanceTest, WaitForBestAlwaysAchievesSlowdownOne) {
 
 TEST(SchedulerDominanceTest, QualityPoliciesNeverLoseOnSlowdown) {
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
-    const auto jobs = mixed_stream(bgq::juqueen(), 30, seed);
+    const auto jobs =
+        mixed_stream(bgq::feasible_sizes(bgq::juqueen()), 30, seed);
     const auto first_fit =
         simulate_schedule(bgq::juqueen(), SchedulerPolicy::kFirstFit, jobs);
     const auto quality = simulate_schedule(
