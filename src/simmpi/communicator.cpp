@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -50,15 +51,19 @@ std::vector<simnet::Flow> Communicator::alltoall_in_groups(
   if (group_size == 1) return {};
   const double per_peer = bytes_per_rank / static_cast<double>(group_size - 1);
 
-  std::vector<simnet::Flow> flows;
-  // Mapping-agnostic: collect how many of the group's ranks each node
-  // hosts (ranks of one node are contiguous, so walk the group in
-  // node-sized chunks), then emit one flow per ordered node pair.
+  // Mapping-agnostic: collect how many of each group's ranks each node
+  // hosts (ranks of one node are contiguous, so walk a group in node-sized
+  // chunks), then emit one flow per ordered node pair of the group. The
+  // chunks of every group are collected first so the flow vector is sized
+  // exactly: sum over groups of m(m - 1) for a group spanning m nodes.
   std::vector<std::pair<topo::VertexId, std::int64_t>> counts;
+  std::vector<std::size_t> group_ends;
+  group_ends.reserve(static_cast<std::size_t>(ranks / group_size));
+  std::size_t num_flows = 0;
   for (std::int64_t group_first = 0; group_first < ranks;
        group_first += group_size) {
     const std::int64_t group_last = group_first + group_size - 1;
-    counts.clear();
+    const std::size_t group_begin = counts.size();
     std::int64_t rank = group_first;
     while (rank <= group_last) {
       const topo::VertexId node = map_.node_of(rank);
@@ -68,14 +73,26 @@ std::vector<simnet::Flow> Communicator::alltoall_in_groups(
       counts.emplace_back(node, chunk_last - rank + 1);
       rank = chunk_last + 1;
     }
-    for (const auto& [a, ca] : counts) {
-      for (const auto& [b, cb] : counts) {
+    const std::size_t m = counts.size() - group_begin;
+    num_flows += m * (m - 1);
+    group_ends.push_back(counts.size());
+  }
+
+  std::vector<simnet::Flow> flows;
+  flows.reserve(num_flows);
+  std::size_t group_begin = 0;
+  for (const std::size_t group_end : group_ends) {
+    const std::span<const std::pair<topo::VertexId, std::int64_t>> group(
+        counts.data() + group_begin, group_end - group_begin);
+    for (const auto& [a, ca] : group) {
+      for (const auto& [b, cb] : group) {
         if (a == b) continue;  // intra-node exchange is free
         flows.push_back(
             {a, b, per_peer * static_cast<double>(ca) *
                        static_cast<double>(cb)});
       }
     }
+    group_begin = group_end;
   }
   return flows;
 }

@@ -1,7 +1,8 @@
 #include "simnet/network.hpp"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -67,15 +68,6 @@ double LinkLoads::max_load_in_dim(std::size_t dim) const {
     best = std::max(best, at(node, dim, 1));
   }
   return best;
-}
-
-void LinkLoads::add(const LinkLoads& other) {
-  if (other.loads_.size() != loads_.size()) {
-    throw std::invalid_argument("LinkLoads::add: shape mismatch");
-  }
-  for (std::size_t i = 0; i < loads_.size(); ++i) {
-    loads_[i] += other.loads_[i];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +142,32 @@ TorusNetwork::TorusNetwork(topo::Torus torus,
     }
     if (c != 1.0) unit_capacities_ = false;
   }
+  // Mixed-radix strides (dimension 0 varies fastest) and the coordinate
+  // table: coordinate i of vertex v is (v / stride_i) mod dims_i, i.e.
+  // runs of stride_i equal values cycling through 0 .. dims_i - 1.
+  const std::size_t d = torus_.num_dims();
+  const topo::Dims& dims = torus_.dims();
+  strides_.resize(d);
+  std::int64_t stride = 1;
+  for (std::size_t i = 0; i < d; ++i) {
+    if (dims[i] > std::numeric_limits<std::int32_t>::max()) {
+      throw std::invalid_argument("TorusNetwork: dimension too long");
+    }
+    strides_[i] = stride;
+    stride *= dims[i];
+  }
+  coords_.resize(static_cast<std::size_t>(torus_.num_vertices()) * d);
+  for (std::size_t i = 0; i < d; ++i) {
+    std::int32_t coord = 0;
+    std::int64_t run = 0;
+    for (std::size_t at = i; at < coords_.size(); at += d) {
+      coords_[at] = coord;
+      if (++run == strides_[i]) {
+        run = 0;
+        if (++coord == dims[i]) coord = 0;
+      }
+    }
+  }
 }
 
 double TorusNetwork::channel_seconds(const LinkLoads& loads) const {
@@ -170,132 +188,90 @@ LinkLoads TorusNetwork::make_loads() const {
   return LinkLoads(torus_.num_vertices(), torus_.num_dims());
 }
 
-namespace {
-
-/// Routing scratch shared across the flows of one route_all call: dimension
-/// lengths and mixed-radix strides, flattened so the per-hop walk touches no
-/// std::vector<Coord> and recomputes no index_of. Tori beyond kMaxDims (far
-/// past anything a Blue Gene/Q model builds) fall back would be pointless —
-/// reject loudly instead.
-constexpr std::size_t kMaxRouteDims = 32;
-
-struct RouteScratch {
-  std::size_t num_dims = 0;
-  std::int64_t num_vertices = 1;
-  std::array<std::int64_t, kMaxRouteDims> dims{};
-  std::array<std::int64_t, kMaxRouteDims> strides{};
-
-  explicit RouteScratch(const topo::Torus& torus) {
-    num_dims = torus.num_dims();
-    if (num_dims > kMaxRouteDims) {
-      throw std::invalid_argument("route_flow: too many torus dimensions");
-    }
-    for (std::size_t i = 0; i < num_dims; ++i) {
-      dims[i] = torus.dims()[i];
-      strides[i] = num_vertices;
-      num_vertices *= dims[i];
-    }
-  }
-};
-
-/// Routes one flow with incremental vertex indexing. Visits the same
-/// channels in the same order with the same weights as the original
-/// per-hop index_of walk, so accumulated loads are bit-identical.
-/// NPAC_HOT: allocation-free by contract; all scratch is caller-owned
-/// (enforced by npaclint rule H1).
-NPAC_HOT void route_flow_fast(const RouteScratch& scratch, TieBreak tie_break,
-                              const Flow& flow, double* loads) {
+void TorusNetwork::check_flow(const Flow& flow) const {
   if (flow.bytes < 0.0) {
     throw std::invalid_argument("route_flow: negative byte count");
   }
-  if (flow.src < 0 || flow.src >= scratch.num_vertices || flow.dst < 0 ||
-      flow.dst >= scratch.num_vertices) {
+  const std::int64_t n = torus_.num_vertices();
+  if (flow.src < 0 || flow.src >= n || flow.dst < 0 || flow.dst >= n) {
     throw std::out_of_range("route_flow: vertex out of range");
-  }
-  if (flow.src == flow.dst || flow.bytes == 0.0) return;
-
-  const std::size_t num_dims = scratch.num_dims;
-  std::array<std::int64_t, kMaxRouteDims> at;
-  std::array<std::int64_t, kMaxRouteDims> dst;
-  std::int64_t src_rest = flow.src;
-  std::int64_t dst_rest = flow.dst;
-  for (std::size_t i = 0; i < num_dims; ++i) {
-    at[i] = src_rest % scratch.dims[i];
-    src_rest /= scratch.dims[i];
-    dst[i] = dst_rest % scratch.dims[i];
-    dst_rest /= scratch.dims[i];
-  }
-
-  std::int64_t node = flow.src;  // kept in sync with at[]
-  for (std::size_t dim = 0; dim < num_dims; ++dim) {
-    const std::int64_t a = scratch.dims[dim];
-    const std::int64_t stride = scratch.strides[dim];
-    const std::int64_t from = at[dim];
-    const std::int64_t target = dst[dim];
-    if (from == target) continue;
-
-    const std::int64_t forward = ((target - from) % a + a) % a;
-    const std::int64_t backward = a - forward;
-
-    const auto walk = [&](int direction, std::int64_t hops, double weight) {
-      std::int64_t cursor_node = node;
-      std::int64_t coord = from;
-      for (std::int64_t step = 0; step < hops; ++step) {
-        loads[(static_cast<std::size_t>(cursor_node) * num_dims + dim) * 2 +
-              static_cast<std::size_t>(direction)] += weight;
-        if (direction == 0) {
-          if (++coord == a) {
-            coord = 0;
-            cursor_node -= (a - 1) * stride;
-          } else {
-            cursor_node += stride;
-          }
-        } else {
-          if (coord == 0) {
-            coord = a - 1;
-            cursor_node += (a - 1) * stride;
-          } else {
-            --coord;
-            cursor_node -= stride;
-          }
-        }
-      }
-    };
-
-    if (a == 2) {
-      // The two directions name the same physical link; charge the
-      // sender-side + channel.
-      walk(0, 1, flow.bytes);
-    } else if (forward < backward) {
-      walk(0, forward, flow.bytes);
-    } else if (backward < forward) {
-      walk(1, backward, flow.bytes);
-    } else {
-      // Antipodal tie.
-      if (tie_break == TieBreak::kSplit) {
-        walk(0, forward, flow.bytes / 2.0);
-        walk(1, backward, flow.bytes / 2.0);
-      } else {
-        walk(0, forward, flow.bytes);
-      }
-    }
-
-    at[dim] = target;
-    node += (target - from) * stride;
   }
 }
 
-}  // namespace
+/// Routes dimension `dim`'s segment of one validated flow. Dimension order
+/// puts the segment's start at the destination's coordinates below `dim`
+/// and the source's from `dim` up; coordinates come from the table, so the
+/// walk divides nothing. A walk is shorter than its ring, so it charges
+/// each channel at most once: accumulating dimension by dimension adds the
+/// same weights to each channel in the same flow order as flow by flow.
+/// NPAC_HOT: allocation-free by contract (npaclint rule H1).
+NPAC_HOT void TorusNetwork::route_segment(std::size_t dim, const Flow& flow,
+                                          double* loads,
+                                          std::size_t pitch) const {
+  const std::size_t num_dims = torus_.num_dims();
+  const std::int32_t* const src = coords_.data() + flow.src * num_dims;
+  const std::int32_t* const dst = coords_.data() + flow.dst * num_dims;
+  const std::int64_t from = src[dim];
+  const std::int64_t target = dst[dim];
+  if (from == target || flow.bytes == 0.0) return;
+
+  std::int64_t node = flow.src;
+  for (std::size_t i = 0; i < dim; ++i) {
+    node += (dst[i] - src[i]) * strides_[i];
+  }
+  const std::int64_t a = torus_.dims()[dim];
+  const std::int64_t stride = strides_[dim];
+  const std::int64_t forward =
+      target > from ? target - from : target - from + a;
+  const std::int64_t backward = a - forward;
+
+  // Walks `hops` channels from the segment's start: up to the ring's end
+  // (coordinate a - 1 going +, 0 going −), then on from the other end.
+  const auto walk = [&](int direction, std::int64_t hops, double weight) {
+    const std::int64_t step = direction == 0 ? stride : -stride;
+    const std::int64_t before_wrap =
+        std::min(hops, direction == 0 ? a - from : from + 1);
+    std::int64_t cursor = node;
+    for (std::int64_t i = 0; i < hops; ++i, cursor += step) {
+      if (i == before_wrap) cursor -= a * step;
+      loads[static_cast<std::size_t>(cursor) * pitch +
+            static_cast<std::size_t>(direction)] += weight;
+    }
+  };
+
+  if (a == 2) {
+    // The two directions name the same physical link; charge the
+    // sender-side + channel.
+    walk(0, 1, flow.bytes);
+  } else if (forward < backward) {
+    walk(0, forward, flow.bytes);
+  } else if (backward < forward) {
+    walk(1, backward, flow.bytes);
+  } else if (options().tie_break == TieBreak::kSplit) {
+    // Antipodal tie.
+    walk(0, forward, flow.bytes / 2.0);
+    walk(1, backward, flow.bytes / 2.0);
+  } else {
+    walk(0, forward, flow.bytes);
+  }
+}
 
 void TorusNetwork::route_flow(const Flow& flow, LinkLoads& loads) const {
-  const RouteScratch scratch(torus_);
-  route_flow_fast(scratch, options().tie_break, flow, loads.raw().data());
+  check_flow(flow);
+  const std::size_t d = torus_.num_dims();
+  for (std::size_t dim = 0; dim < d; ++dim) {
+    route_segment(dim, flow, loads.raw().data() + 2 * dim, 2 * d);
+  }
 }
 
 LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
-  const std::int64_t n = torus_.num_vertices();
+  // Every flow is checked before any thread starts, so an invalid one
+  // throws here instead of escaping the parallel region.
+  for (const Flow& flow : flows) check_flow(flow);
+
+  const std::size_t n = static_cast<std::size_t>(torus_.num_vertices());
   const std::size_t d = torus_.num_dims();
-  LinkLoads total(n, d);
+  LinkLoads total(torus_.num_vertices(), d);
 
   if (obs::Registry* const registry = obs::Registry::current()) {
     registry->counter("net.torus.route_all").add(1);
@@ -307,30 +283,52 @@ LinkLoads TorusNetwork::route_all(std::span<const Flow> flows) const {
                  "net");
   }
 
+  // One task per dimension, each over every flow in order. Serially the
+  // tasks write the interleaved layout in place; in parallel each writes
+  // its own contiguous slice (no cache line shared between tasks), copied
+  // into the interleaved layout afterwards. Either way every channel sums
+  // the same weights in the same order, so the bits never depend on the
+  // thread count.
 #ifdef _OPENMP
-  const int max_threads = omp_get_max_threads();
+  const int threads = std::min(omp_get_max_threads(), static_cast<int>(d));
 #else
-  const int max_threads = 1;
+  const int threads = 1;
 #endif
-  const RouteScratch scratch(torus_);
-  if (max_threads == 1 || flows.size() < 1024) {
-    for (const Flow& flow : flows) {
-      route_flow_fast(scratch, options().tie_break, flow, total.raw().data());
-    }
-    return total;
-  }
+  const bool parallel = threads > 1 && flows.size() >= 1024;
+  std::vector<double> slices(parallel ? n * d * 2 : 0, 0.0);
+  double* const base = parallel ? slices.data() : total.raw().data();
+  const std::size_t pitch = parallel ? 2 : 2 * d;
+  const std::size_t dim_offset = parallel ? 2 * n : 2;
 
-#pragma omp parallel
-  {
-    LinkLoads local(n, d);
-#pragma omp for schedule(static) nowait
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(flows.size());
-         ++i) {
-      route_flow_fast(scratch, options().tie_break,
-                      flows[static_cast<std::size_t>(i)], local.raw().data());
+  // The region's barriers are the real synchronization, but explicit
+  // release/acquire edges make both hand-offs visible to the C++ memory
+  // model (and to TSan, which cannot see libgomp's barriers): the store
+  // publishes the zeroed slices to every task's acquire load, and each
+  // task's release fetch_add publishes its slice to the final acquire.
+  std::atomic<std::size_t> finished;
+  finished.store(0, std::memory_order_release);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads) if (parallel)
+#endif
+  for (std::ptrdiff_t dim = 0; dim < static_cast<std::ptrdiff_t>(d); ++dim) {
+    const auto k = static_cast<std::size_t>(dim);
+    if (torus_.dims()[k] == 1) continue;  // no channels
+    (void)finished.load(std::memory_order_acquire);
+    double* const loads = base + k * dim_offset;
+    for (const Flow& flow : flows) route_segment(k, flow, loads, pitch);
+    finished.fetch_add(1, std::memory_order_release);
+  }
+  (void)finished.load(std::memory_order_acquire);
+
+  if (parallel) {
+    double* const out = total.raw().data();
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      const double* const slice = slices.data() + dim * 2 * n;
+      for (std::size_t node = 0; node < n; ++node) {
+        out[(node * d + dim) * 2] = slice[node * 2];
+        out[(node * d + dim) * 2 + 1] = slice[node * 2 + 1];
+      }
     }
-#pragma omp critical(npac_simnet_route_all)
-    total.add(local);
   }
   return total;
 }

@@ -6,8 +6,9 @@
 // injection cap) turns loads into seconds. Two backends exist:
 //
 //  * TorusNetwork (this header) — dimension-ordered minimal ring routing on
-//    a topo::Torus, kept on its specialized allocation-free incremental-
-//    index path. Channels are (node, dimension, direction) triples.
+//    a topo::Torus, on a specialized allocation-free path: a coordinate
+//    table built once and one routing kernel per dimension. Channels are
+//    (node, dimension, direction) triples.
 //  * GraphNetwork (simnet/graph_network.hpp) — BFS shortest paths with
 //    ECMP-style fractional splitting over any topo::Graph. Channels are
 //    directed CSR arcs.
@@ -80,8 +81,6 @@ class LinkLoads {
   /// Maximum load among channels of one dimension. Requires torus_shaped().
   double max_load_in_dim(std::size_t dim) const;
 
-  void add(const LinkLoads& other);
-
  private:
   void require_torus_shape() const;
 
@@ -113,8 +112,9 @@ class Network {
   /// Routes one flow, adding its bytes to `loads`.
   virtual void route_flow(const Flow& flow, LinkLoads& loads) const = 0;
 
-  /// Routes every flow and returns the accumulated loads. Results are
-  /// deterministic: independent of thread count and scheduling.
+  /// Routes every flow and returns the accumulated loads. A contract for
+  /// every backend: the bits are the same at any thread count (tests pin
+  /// it with exact comparisons at 1 to 16 OpenMP threads).
   virtual LinkLoads route_all(std::span<const Flow> flows) const;
 
   /// Completion time of a set of flows that start simultaneously:
@@ -152,7 +152,7 @@ class Network {
 /// (minimal paths either way), but the completion model prices a channel's
 /// drain as load / (dimension capacity * link bandwidth), matching the
 /// capacity-aware GraphNetwork while keeping the allocation-free
-/// incremental-index routing path.
+/// per-dimension routing path.
 class TorusNetwork final : public Network {
  public:
   /// Uniform capacities: every channel at torus.link_capacity().
@@ -170,7 +170,9 @@ class TorusNetwork final : public Network {
   std::size_t num_channels() const override;
   LinkLoads make_loads() const override;
   void route_flow(const Flow& flow, LinkLoads& loads) const override;
-  /// OpenMP-parallel specialized routing; bit-identical to the serial walk.
+  /// Validates every flow, then routes one task per dimension (OpenMP-
+  /// parallel over dimensions for 1024 flows or more). Bit-identical to
+  /// routing the flows one by one with route_flow, at any thread count.
   LinkLoads route_all(std::span<const Flow> flows) const override;
   std::int64_t path_hops(const Flow& flow) const override;
   std::vector<Flow> halo_flows(double bytes) const override;
@@ -181,9 +183,21 @@ class TorusNetwork final : public Network {
   double channel_seconds(const LinkLoads& loads) const override;
 
  private:
+  /// Throws std::invalid_argument on a negative byte count and
+  /// std::out_of_range on an endpoint outside the torus.
+  void check_flow(const Flow& flow) const;
+
+  /// Adds dimension `dim`'s segment of a checked flow to channel
+  /// (node, direction) at loads[node * pitch + direction].
+  void route_segment(std::size_t dim, const Flow& flow, double* loads,
+                     std::size_t pitch) const;
+
   topo::Torus torus_;
   std::vector<double> capacities_;  // one per dimension
   bool unit_capacities_ = true;
+  std::vector<std::int64_t> strides_;  // mixed-radix, dimension 0 fastest
+  /// Vertex v's coordinate in dimension i at [v * num_dims + i].
+  std::vector<std::int32_t> coords_;
 };
 
 }  // namespace npac::simnet

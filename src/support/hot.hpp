@@ -9,7 +9,7 @@
 //
 // The macro also lowers to the compiler's hot attribute where available,
 // nudging inlining and code layout for the functions the sweeps spend
-// their time in (TorusNetwork incremental-index routing, GraphNetwork
+// their time in (TorusNetwork per-dimension routing, GraphNetwork
 // level propagation, Histogram::observe, task_seed).
 //
 // Callers own all scratch: an NPAC_HOT function receives pre-sized

@@ -7,6 +7,12 @@
 
 #include <stdexcept>
 
+#include "simmpi/communicator.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace npac::simnet {
 namespace {
 
@@ -37,12 +43,6 @@ TEST(LinkLoadsTest, MaxLoadInDim) {
   loads.at(1, 1, 1) = 7.0;
   EXPECT_DOUBLE_EQ(loads.max_load_in_dim(0), 5.0);
   EXPECT_DOUBLE_EQ(loads.max_load_in_dim(1), 7.0);
-}
-
-TEST(LinkLoadsTest, AddRequiresSameShape) {
-  LinkLoads a(2, 1);
-  LinkLoads b(3, 1);
-  EXPECT_THROW(a.add(b), std::invalid_argument);
 }
 
 TEST(NetworkTest, ShortWayAroundTheRing) {
@@ -148,24 +148,95 @@ TEST(NetworkTest, FlowConservationByteHops) {
   }
 }
 
-TEST(NetworkTest, RouteAllMatchesSequentialRouting) {
-  const topo::Torus torus({4, 4, 4});
-  const TorusNetwork net(torus);
-  // Enough flows to trigger the parallel path.
-  std::vector<Flow> flows;
-  for (topo::VertexId u = 0; u < torus.num_vertices(); ++u) {
-    for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
-      if (u != v) flows.push_back({u, v, 1.0});
+TEST(TorusNetworkTest, RouteAllIsByteIdenticalAcrossThreadCounts) {
+  // The determinism contract: route_all equals the serial route_flow walk
+  // with exact == at 1, 2, 3, 7 and 16 OpenMP threads, for both
+  // tie-breaks. Inputs: a CAPS all-to-all of 343 ranks on a Mira midplane
+  // (4x4x4x4x2; per-peer bytes of 3e6/342 round, so any change in
+  // summation order shows in the last ulp), and all pairs on a 4x4x4 torus
+  // and on one with a dimension of length 2 and one of length 1.
+  struct Case {
+    topo::Torus torus;
+    std::vector<Flow> flows;
+  };
+  std::vector<Case> cases;
+  {
+    const topo::Torus midplane({4, 4, 4, 4, 2});
+    const TorusNetwork net(midplane);
+    const simmpi::Communicator comm(
+        &net, simmpi::RankMap(343, midplane.num_vertices()));
+    cases.push_back({midplane, comm.alltoall_in_groups(343, 3.0e6)});
+  }
+  for (const topo::Torus& torus :
+       {topo::Torus({4, 4, 4}), topo::Torus({6, 2, 1, 5})}) {
+    std::vector<Flow> flows;
+    for (topo::VertexId u = 0; u < torus.num_vertices(); ++u) {
+      for (topo::VertexId v = 0; v < torus.num_vertices(); ++v) {
+        const double bytes = 1.0 + 0.1 * static_cast<double>(u);
+        if (u != v) flows.push_back({u, v, bytes});
+      }
+    }
+    cases.push_back({torus, std::move(flows)});
+  }
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (const Case& c : cases) {
+    ASSERT_GE(c.flows.size(), 1024u);  // large enough for the parallel path
+    for (const TieBreak tie : {TieBreak::kSplit, TieBreak::kPositive}) {
+      NetworkOptions options;
+      options.tie_break = tie;
+      const TorusNetwork net(c.torus, options);
+      LinkLoads serial = net.make_loads();
+      for (const Flow& flow : c.flows) net.route_flow(flow, serial);
+      for (const int threads : {1, 2, 3, 7, 16}) {
+#ifdef _OPENMP
+        omp_set_num_threads(threads);
+#endif
+        const LinkLoads got = net.route_all(c.flows);
+        ASSERT_EQ(got.num_channels(), serial.num_channels());
+        for (std::size_t ch = 0; ch < got.num_channels(); ++ch) {
+          ASSERT_EQ(got[ch], serial[ch])
+              << "channel " << ch << " at " << threads << " threads";
+        }
+      }
     }
   }
-  ASSERT_GT(flows.size(), 1024u);
-  const LinkLoads parallel = net.route_all(flows);
-  LinkLoads sequential(torus.num_vertices(), torus.num_dims());
-  for (const Flow& flow : flows) net.route_flow(flow, sequential);
-  ASSERT_EQ(parallel.raw().size(), sequential.raw().size());
-  for (std::size_t i = 0; i < parallel.raw().size(); ++i) {
-    EXPECT_NEAR(parallel.raw()[i], sequential.raw()[i], 1e-6) << "channel " << i;
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+TEST(TorusNetworkTest, InvalidFlowThrowsFromParallelRouteAll) {
+  // An invalid flow among enough others to take the parallel path must
+  // surface as a catchable exception, never escape the OpenMP region (which
+  // terminates the process), and leave the network usable.
+  const topo::Torus torus({8, 8, 4});
+  const TorusNetwork net(torus);
+  std::vector<Flow> flows;
+  for (std::int64_t i = 0; i < 2000; ++i) {
+    flows.push_back({i % torus.num_vertices(),
+                     (i * 37 + 11) % torus.num_vertices(), 1.0});
   }
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  std::vector<Flow> negative = flows;
+  negative[1500].bytes = -1.0;
+  EXPECT_THROW(net.route_all(negative), std::invalid_argument);
+  std::vector<Flow> out_of_range = flows;
+  out_of_range[1500].dst = torus.num_vertices();
+  EXPECT_THROW(net.route_all(out_of_range), std::out_of_range);
+  const LinkLoads after = net.route_all(flows);
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+  double byte_hops = 0.0;
+  for (const Flow& flow : flows) {
+    byte_hops += flow.bytes * static_cast<double>(net.path_hops(flow));
+  }
+  EXPECT_DOUBLE_EQ(after.total_load(), byte_hops);
 }
 
 TEST(NetworkTest, CompletionTimeIsMaxLoadOverBandwidth) {

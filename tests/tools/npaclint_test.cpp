@@ -160,7 +160,7 @@ TEST(NpaclintH1, MacroDefinitionDoesNotArmTheScan) {
 }
 
 TEST(NpaclintH1, AnnotatedHotPathsInTreeStayClean) {
-  // The customers of the annotation: the torus incremental-index router,
+  // The customers of the annotation: the torus per-dimension router,
   // the graph routing kernels (fused BFS+overlay, counting-sort level
   // build, level propagation), the topo BFS kernel and the Clos container
   // picker must have zero H1 findings, suppressed or not.
