@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "simnet/traffic.hpp"
 #include "support/hot.hpp"
+#include "support/mapped_allocator.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -118,6 +119,23 @@ struct Group {
   topo::VertexId dst = 0;
 };
 
+/// A route_all arena buffer sized by the flow count or by chunks x
+/// channels: multi-MB on all-to-all inputs, so large blocks are mapped
+/// from the OS rather than left to settle into heap holes (see
+/// support/mapped_allocator.hpp).
+template <class T>
+using ArenaBuffer = std::vector<T, support::MappedAllocator<T>>;
+
+/// Grows an arena buffer to at least `size` elements. Its contents are dead
+/// between calls, so the old block is released before the larger one is
+/// allocated: nothing is copied, and the two are never resident together.
+template <class T>
+void grow_arena_buffer(ArenaBuffer<T>& buffer, std::size_t size) {
+  if (buffer.size() >= size) return;
+  ArenaBuffer<T>().swap(buffer);
+  buffer.resize(size);
+}
+
 /// Per-thread orchestration arena for route_all itself: the counting-sort
 /// grouping buffers and the flat per-chunk partial-loads matrix, reused
 /// across calls so the whole pipeline stops allocating once warmed up.
@@ -127,9 +145,9 @@ struct RouteAllScratch {
   /// dst_cursor is the scatter cursor per destination.
   std::vector<std::size_t> dst_first;
   std::vector<std::size_t> dst_cursor;
-  std::vector<GroupFlow> sorted;
+  ArenaBuffer<GroupFlow> sorted;
   std::vector<Group> groups;
-  std::vector<double> partials;  ///< num_chunks x num_channels, chunk-major
+  ArenaBuffer<double> partials;  ///< num_chunks x num_channels, chunk-major
 
   std::size_t bytes() const {
     return (dst_first.capacity() + dst_cursor.capacity()) *
@@ -403,7 +421,7 @@ LinkLoads GraphNetwork::route_all(std::span<const Flow> flows) const {
   RouteAllScratch& call = route_all_scratch();
   const std::size_t count = flows.size();
   const std::size_t n = static_cast<std::size_t>(graph_.num_vertices());
-  if (call.sorted.size() < count) call.sorted.resize(count);
+  grow_arena_buffer(call.sorted, count);
   if (call.dst_first.size() < n + 1) {
     call.dst_first.resize(n + 1);
     call.dst_cursor.resize(n);
@@ -467,9 +485,7 @@ LinkLoads GraphNetwork::route_all(std::span<const Flow> flows) const {
     // accumulates into its own slice of the arena's flat partials matrix,
     // merged in chunk order below.
     const std::size_t channels = num_channels();
-    if (call.partials.size() < num_chunks * channels) {
-      call.partials.resize(num_chunks * channels);
-    }
+    grow_arena_buffer(call.partials, num_chunks * channels);
     std::fill(call.partials.begin(),
               call.partials.begin() +
                   static_cast<std::ptrdiff_t>(num_chunks * channels),
