@@ -1,9 +1,10 @@
 // Machine-readable perf snapshot of the whole stack: one timed phase per
 // subsystem (bisection search, routing, scheduler sweep, topology design,
-// CAPS simulation), written as BENCH_<date>.json together with the obs
-// metrics the phases produced. A checked-in snapshot under bench/baselines/
-// is the CI reference: --baseline=PATH compares phase times against it and
-// exits nonzero when any phase regresses more than 2x.
+// CAPS simulation, executor substrate, streaming scheduler core), written
+// as BENCH_<date>.json together with the obs metrics the phases produced.
+// A checked-in snapshot under bench/baselines/ is the CI reference:
+// --baseline=PATH compares phase times against it and exits nonzero when
+// any phase regresses more than 2x.
 //
 // Flags (not a Runner driver — the artifact is JSON, not a table):
 //   --fast             smaller grids (the CI configuration)
@@ -28,12 +29,13 @@
 
 #include "bgq/machine.hpp"
 #include "core/allocator.hpp"
+#include "core/scheduler_stream.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "pool_baseline.hpp"
-#include "sched_baseline.hpp"
 #include "simnet/graph_network.hpp"
 #include "simnet/traffic.hpp"
+#include "sweep/cache.hpp"
+#include "sweep/pool.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/trace.hpp"
 #include "topo/dragonfly.hpp"
@@ -96,6 +98,76 @@ std::string today() {
   char text[16];
   std::strftime(text, sizeof text, "%Y-%m-%d", &parts);
   return text;
+}
+
+/// The balanced-load scheduler workload of the sched_stream phase: job
+/// sizes across Mira's feasible ladder, interarrival tuned to ~0.7
+/// effective utilization (nominal 0.52 times the ~1.33 first-fit slowdown
+/// inflation). Calibrated so the queue depth is flat in trace length for
+/// every FCFS policy — mean wait ~40-70 s against an 18 s interarrival
+/// means the head still blocks on most arrivals (the rescan-elimination
+/// case).
+sweep::TraceConfig scale_trace_config(int num_jobs) {
+  sweep::TraceConfig config;
+  config.num_jobs = num_jobs;
+  config.mean_interarrival_seconds = 18.0;
+  config.min_base_seconds = 20.0;
+  config.max_base_seconds = 40.0;
+  return config;
+}
+
+std::vector<std::int64_t> scale_size_pool() {
+  return {1, 2, 4, 8, 16, 32, 48, 64, 96};
+}
+
+/// Key space and payload size of the contended-cache kernel: few keys so
+/// every worker hammers the same entries (first pass misses, the rest
+/// hits), payloads heavy enough that a copy-per-hit would be visible.
+constexpr std::int64_t kCacheBenchKeys = 64;
+constexpr std::size_t kCacheBenchWords = 2048;  // 16 KiB per payload
+
+std::vector<std::uint64_t> cache_bench_payload(std::int64_t key) {
+  std::vector<std::uint64_t> payload(kCacheBenchWords);
+  for (std::size_t j = 0; j < kCacheBenchWords; ++j) {
+    payload[j] = sweep::task_seed(static_cast<std::uint64_t>(key),
+                                  static_cast<std::int64_t>(j));
+  }
+  return payload;
+}
+
+/// One contended-cache pass: n tiny tasks, each reading one seed-selected
+/// word of one of kCacheBenchKeys cached payloads, written to an
+/// index-addressed slot and reduced in slot order. `lookup(key, word)`
+/// abstracts over the cache; the checksum may depend on nothing but
+/// (n, task index).
+template <typename Pool, typename Lookup>
+std::uint64_t contended_cache_checksum(Pool& pool, std::int64_t n,
+                                       Lookup&& lookup) {
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(n));
+  pool.run_indexed(n, [&](std::int64_t i) {
+    const std::int64_t key = i % kCacheBenchKeys;
+    const std::size_t word =
+        static_cast<std::size_t>(sweep::task_seed(5, i) % kCacheBenchWords);
+    slots[static_cast<std::size_t>(i)] = lookup(key, word) ^
+                                         sweep::task_seed(99, i);
+  });
+  std::uint64_t checksum = 0;
+  for (const std::uint64_t slot : slots) {
+    checksum = sweep::task_seed(checksum, static_cast<std::int64_t>(slot));
+  }
+  return checksum;
+}
+
+/// The contended-cache kernel on the work-stealing ThreadPool + striped
+/// MemoCache (hits share one immutable payload).
+std::uint64_t striped_contended_run(int threads, std::int64_t n) {
+  sweep::ThreadPool pool(threads);
+  sweep::MemoCache<std::int64_t, std::vector<std::uint64_t>> cache;
+  return contended_cache_checksum(
+      pool, n, [&](std::int64_t key, std::size_t word) {
+        return (*cache.get_or_compute(
+            key, [&] { return cache_bench_payload(key); }))[word];
+      });
 }
 
 struct PhaseResult {
@@ -295,93 +367,32 @@ int run_report(const ReportOptions& options) {
             .size());
   });
 
-  // The executor substrate itself, measured as the same contended-cache
-  // kernel on both pool/cache designs (bench/pool_baseline.hpp). The
-  // committed baseline records the work-stealing pool's >= 2x throughput
-  // edge over the mutex-cursor replica at 16 oversubscribed workers; the
-  // regression gate then keeps pool_steal honest release over release.
+  // The executor substrate itself: tiny tasks hammering a few cached
+  // payloads at 16 oversubscribed workers, so the claim path and the cache
+  // lookups dominate. The regression gate keeps pool_steal honest release
+  // over release.
   const std::int64_t pool_tasks = options.fast ? (1 << 14) : (1 << 16);
   phase("pool_steal", [&] {
-    (void)bench::striped_contended_run(/*threads=*/16, pool_tasks);
-    return pool_tasks;
-  });
-  phase("pool_mutex_baseline", [&] {
-    (void)bench::legacy_contended_run(/*threads=*/16, pool_tasks);
+    (void)striped_contended_run(/*threads=*/16, pool_tasks);
     return pool_tasks;
   });
 
-  // The scheduler engine pair: the streaming event-driven core against the
-  // pre-refactor materialized-replay replica (bench/sched_baseline.hpp) on
-  // the same 10^5-job balanced-load Mira trace, best-bisection policy.
-  // Each side runs twice and keeps its faster rep (min-of-paired-runs);
-  // the phase time covers both reps, so the committed baseline gates both
-  // engines with the usual 2x rule while the stderr line reports the
-  // events/second ratio the acceptance criterion pins (>= 5x). The FNV-1a
-  // schedule digests must match across engines — a mismatch fails the
-  // report outright, because then the phases timed different schedules.
+  // The streaming scheduler core on a 10^5-job balanced-load Mira trace,
+  // best-bisection policy, run twice; the phase time covers both reps.
   const int sched_jobs = 100000;
-  const auto sched_sizes = bench::scale_size_pool();
-  const auto sched_config = bench::scale_trace_config(sched_jobs);
-  const auto sched_trace =
-      sweep::generate_trace(sched_sizes, sched_config, options.seed);
-  struct SchedSide {
-    double min_seconds = 1.0e300;
-    std::uint64_t digest = 0;
-    std::uint64_t events = 0;
-  };
-  const auto paired_min = [&](const auto& kernel) {
-    SchedSide side;
-    for (int rep = 0; rep < 2; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      const bench::ReplayOutcome outcome = kernel();
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      side.min_seconds = std::min(side.min_seconds, seconds);
-      side.digest = outcome.digest;
-      side.events = outcome.events;
-    }
-    return side;
-  };
-  SchedSide sched_stream_side;
-  SchedSide sched_replay_side;
+  const auto sched_sizes = scale_size_pool();
+  const auto sched_config = scale_trace_config(sched_jobs);
   phase("sched_stream", [&] {
-    sched_stream_side = paired_min([&] {
+    for (int rep = 0; rep < 2; ++rep) {
       const auto allocator = core::make_allocator(bgq::mira());
       sweep::SyntheticJobSource source(sched_sizes, sched_config,
                                        options.seed);
-      return bench::streaming_run(
-          *allocator, core::SchedulerPolicy::kBestBisection, source);
-    });
+      core::StreamingScheduler scheduler(*allocator,
+                                         core::SchedulerPolicy::kBestBisection);
+      (void)scheduler.run(source, [](const core::ScheduledJob&) {});
+    }
     return std::int64_t{sched_jobs};
   });
-  phase("sched_replay_baseline", [&] {
-    sched_replay_side = paired_min([&] {
-      const auto allocator = core::make_allocator(bgq::mira());
-      return bench::materialized_replay(
-          *allocator, core::SchedulerPolicy::kBestBisection, sched_trace);
-    });
-    return std::int64_t{sched_jobs};
-  });
-  if (sched_stream_side.digest != sched_replay_side.digest) {
-    std::fprintf(stderr,
-                 "perf_report: sched digest mismatch — streaming %llu vs "
-                 "replay %llu: the engines computed different schedules\n",
-                 static_cast<unsigned long long>(sched_stream_side.digest),
-                 static_cast<unsigned long long>(sched_replay_side.digest));
-    return 1;
-  }
-  {
-    const double stream_eps = static_cast<double>(sched_stream_side.events) /
-                              sched_stream_side.min_seconds;
-    const double replay_eps = static_cast<double>(sched_replay_side.events) /
-                              sched_replay_side.min_seconds;
-    std::fprintf(stderr,
-                 "perf_report: sched_stream %.0f events/s vs replay %.0f "
-                 "events/s — %.1fx (min of paired runs, digests match)\n",
-                 stream_eps, replay_eps, stream_eps / replay_eps);
-  }
 
   context.publish_metrics(registry);
 

@@ -172,71 +172,56 @@ std::int64_t MidplaneGrid::release(std::int64_t job_id) {
   return freed;
 }
 
-std::optional<Placement> MidplaneGrid::find_placement(
-    const bgq::Geometry& shape) const {
-  // Try every distinct axis assignment of the canonical shape, anchored at
-  // every origin. Hosts have at most 96 cells and 24 permutations, so the
-  // scan is trivial.
+template <typename Visit>
+void MidplaneGrid::for_each_free_placement(const bgq::Geometry& shape,
+                                           Visit&& visit) const {
+  // Every distinct axis assignment of the canonical shape, anchored at
+  // every origin: hosts have at most 192 cells and 24 permutations.
   std::array<std::int64_t, 4> extent = shape.dims();
   std::sort(extent.begin(), extent.end());
   do {
-    Placement placement;
-    placement.extent = extent;
     bool extent_fits = true;
-    for (int i = 0; i < 4; ++i) {
-      if (extent[static_cast<std::size_t>(i)] >
-          dims_[static_cast<std::size_t>(i)]) {
-        extent_fits = false;
-      }
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (extent[i] > dims_[i]) extent_fits = false;
     }
     if (!extent_fits) continue;
+    Placement placement;
+    placement.extent = extent;
     for (std::int64_t a = 0; a < dims_[0]; ++a) {
       for (std::int64_t b = 0; b < dims_[1]; ++b) {
         for (std::int64_t c = 0; c < dims_[2]; ++c) {
           for (std::int64_t d = 0; d < dims_[3]; ++d) {
             placement.origin = {a, b, c, d};
-            if (fits(placement)) return placement;
+            if (fits(placement) && !visit(placement)) return;
           }
         }
       }
     }
   } while (std::next_permutation(extent.begin(), extent.end()));
-  return std::nullopt;
+}
+
+std::optional<Placement> MidplaneGrid::find_placement(
+    const bgq::Geometry& shape) const {
+  std::optional<Placement> found;
+  for_each_free_placement(shape, [&](const Placement& placement) {
+    found = placement;
+    return false;
+  });
+  return found;
 }
 
 std::optional<Placement> MidplaneGrid::find_placement_best_fit(
     const bgq::Geometry& shape) const {
   std::optional<Placement> best;
   std::int64_t best_contact = -1;
-  std::array<std::int64_t, 4> extent = shape.dims();
-  std::sort(extent.begin(), extent.end());
-  do {
-    Placement placement;
-    placement.extent = extent;
-    bool extent_fits = true;
-    for (int i = 0; i < 4; ++i) {
-      if (extent[static_cast<std::size_t>(i)] >
-          dims_[static_cast<std::size_t>(i)]) {
-        extent_fits = false;
-      }
+  for_each_free_placement(shape, [&](const Placement& placement) {
+    const std::int64_t contact = boundary_contact(placement);
+    if (contact > best_contact) {
+      best_contact = contact;
+      best = placement;
     }
-    if (!extent_fits) continue;
-    for (std::int64_t a = 0; a < dims_[0]; ++a) {
-      for (std::int64_t b = 0; b < dims_[1]; ++b) {
-        for (std::int64_t c = 0; c < dims_[2]; ++c) {
-          for (std::int64_t d = 0; d < dims_[3]; ++d) {
-            placement.origin = {a, b, c, d};
-            if (!fits(placement)) continue;
-            const std::int64_t contact = boundary_contact(placement);
-            if (contact > best_contact) {
-              best_contact = contact;
-              best = placement;
-            }
-          }
-        }
-      }
-    }
-  } while (std::next_permutation(extent.begin(), extent.end()));
+    return true;
+  });
   return best;
 }
 

@@ -127,6 +127,12 @@ class MidplaneGrid {
   std::size_t cell_index(const std::array<std::int64_t, 4>& cell) const;
   template <typename Fn>
   void for_each_cell(const Placement& placement, Fn&& fn) const;
+  /// Walks every free placement of `shape` in scan order (axis
+  /// permutations, then origins), calling `visit(placement)` until it
+  /// returns false.
+  template <typename Visit>
+  void for_each_free_placement(const bgq::Geometry& shape,
+                               Visit&& visit) const;
   /// Occupied neighbor count just outside the placement (the best-fit
   /// position score).
   std::int64_t boundary_contact(const Placement& placement) const;

@@ -1,19 +1,23 @@
 // StreamingScheduler tests: bitwise equivalence with an in-test replica of
 // the pre-refactor materialized replay loop (across policies and allocator
-// families), EASY-backfill semantics, streaming preconditions, bounded
-// resident-set accounting, and rescan-elimination effectiveness.
+// families), golden placement-order digests on a long Mira trace,
+// EASY-backfill semantics, streaming preconditions, bounded resident-set
+// accounting, and rescan-elimination effectiveness.
 #include "core/scheduler_stream.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bgq/machine.hpp"
@@ -231,6 +235,54 @@ std::vector<Job> congested_trace(const std::vector<std::int64_t>& pool,
   return sweep::generate_trace(pool, config, seed);
 }
 
+/// A long balanced-load Mira trace: 5,000 jobs over Mira's size ladder,
+/// 18 s mean interarrival, 20-40 s runtimes, seed 42. The head blocks on
+/// most arrivals, so the free-layout index and the backfill pass both work.
+std::vector<Job> balanced_mira_trace() {
+  sweep::TraceConfig config;
+  config.num_jobs = 5000;
+  config.mean_interarrival_seconds = 18.0;
+  config.min_base_seconds = 20.0;
+  config.max_base_seconds = 40.0;
+  return sweep::generate_trace({1, 2, 4, 8, 16, 32, 48, 64, 96}, config, 42);
+}
+
+/// FNV-1a over the raw bits of every emitted record (id, size, start,
+/// finish, slowdown, partition label) in placement order: the schedule
+/// digest bench_ext_sched_scale prints.
+std::uint64_t placement_order_digest(const std::vector<Job>& jobs,
+                                     SchedulerPolicy policy) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix_byte = [&hash](unsigned char byte) {
+    hash ^= byte;
+    hash *= 1099511628211ULL;
+  };
+  const auto mix_u64 = [&](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      mix_byte(static_cast<unsigned char>(value >> (8 * byte)));
+    }
+  };
+  const auto mix_double = [&](double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    mix_u64(bits);
+  };
+  CuboidAllocator allocator(bgq::mira());
+  VectorJobSource source(jobs);
+  StreamingScheduler scheduler(allocator, policy);
+  scheduler.run(source, [&](const ScheduledJob& record) {
+    mix_u64(static_cast<std::uint64_t>(record.job.id));
+    mix_u64(static_cast<std::uint64_t>(record.job.midplanes));
+    mix_double(record.start_seconds);
+    mix_double(record.finish_seconds);
+    mix_double(record.slowdown);
+    for (const char c : record.partition.label) {
+      mix_byte(static_cast<unsigned char>(c));
+    }
+  });
+  return hash;
+}
+
 TEST(StreamingSchedulerTest, MatchesReferenceLoopOnTorus) {
   const bgq::Machine machine = bgq::mira();
   sweep::TraceConfig config;
@@ -247,6 +299,22 @@ TEST(StreamingSchedulerTest, MatchesReferenceLoopOnTorus) {
       const auto stream = simulate_schedule(stream_allocator, policy, jobs);
       expect_identical(stream, reference);
     }
+  }
+  // The long trace, field by field and pinned by its placement-order
+  // digest.
+  const auto long_trace = balanced_mira_trace();
+  const std::pair<SchedulerPolicy, std::uint64_t> goldens[] = {
+      {SchedulerPolicy::kFirstFit, 1348991292204623952ULL},
+      {SchedulerPolicy::kBestBisection, 15102071720243042182ULL},
+      {SchedulerPolicy::kWaitForBest, 1022471636066532964ULL}};
+  for (const auto& [policy, digest] : goldens) {
+    CuboidAllocator reference_allocator(machine);
+    CuboidAllocator stream_allocator(machine);
+    expect_identical(simulate_schedule(stream_allocator, policy, long_trace),
+                     reference_schedule(reference_allocator, policy,
+                                        long_trace));
+    EXPECT_EQ(placement_order_digest(long_trace, policy), digest)
+        << to_string(policy);
   }
 }
 
@@ -428,6 +496,9 @@ TEST(StreamingSchedulerTest, BackfillingIsDeterministic) {
     }
     expect_identical(result, *first);
   }
+  EXPECT_EQ(placement_order_digest(balanced_mira_trace(),
+                                   SchedulerPolicy::kEasyBackfill),
+            1446036691089349709ULL);
 }
 
 TEST(StreamingSchedulerTest, ThrowsOnNonEmptyAllocator) {
