@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -74,10 +73,11 @@ ReportOptions parse_flags(int argc, char** argv) {
     if (flag == "--fast") {
       options.fast = true;
     } else if (flag == "--threads" || flag.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(value("--threads").c_str());
+      options.threads = sweep::parse_thread_count_flag(
+          "--threads", value("--threads").c_str(), kUsage);
     } else if (flag == "--seed" || flag.rfind("--seed=", 0) == 0) {
-      options.seed =
-          static_cast<std::uint64_t>(std::atoll(value("--seed").c_str()));
+      options.seed = static_cast<std::uint64_t>(sweep::parse_integer_flag(
+          "--seed", value("--seed").c_str(), kUsage));
     } else if (flag == "--out" || flag.rfind("--out=", 0) == 0) {
       options.out = value("--out");
     } else if (flag == "--baseline" || flag.rfind("--baseline=", 0) == 0) {
@@ -158,8 +158,8 @@ std::uint64_t contended_cache_checksum(Pool& pool, std::int64_t n,
   return checksum;
 }
 
-/// The contended-cache kernel on the work-stealing ThreadPool + striped
-/// MemoCache (hits share one immutable payload).
+/// The contended-cache kernel on the ThreadPool + striped MemoCache (hits
+/// share one immutable payload).
 std::uint64_t striped_contended_run(int threads, std::int64_t n) {
   sweep::ThreadPool pool(threads);
   sweep::MemoCache<std::int64_t, std::vector<std::uint64_t>> cache;
@@ -370,7 +370,8 @@ int run_report(const ReportOptions& options) {
   // The executor substrate itself: tiny tasks hammering a few cached
   // payloads at 16 oversubscribed workers, so the claim path and the cache
   // lookups dominate. The regression gate keeps pool_steal honest release
-  // over release.
+  // over release; the name predates the share-cursor pool and stays
+  // because it is the committed baseline's key.
   const std::int64_t pool_tasks = options.fast ? (1 << 14) : (1 << 16);
   phase("pool_steal", [&] {
     (void)striped_contended_run(/*threads=*/16, pool_tasks);

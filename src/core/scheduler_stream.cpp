@@ -41,11 +41,17 @@ void validate(const Job& job) {
 /// Records `record` on the simulated timeline (obs::kSimPid): one "wait"
 /// span (arrival -> start, when it queued) and one "run" span (start ->
 /// finish), simulated seconds scaled to microsecond timestamps, the job id
-/// as the lane.
+/// as the lane. Times are non-negative, but a valid job may arrive at
+/// 1e300 s and its finish may overflow to +inf; timestamps and durations
+/// past the int64 range saturate at its maximum, where the cast alone
+/// would be UB.
 void add_sim_spans(obs::TraceBuffer& trace, const ScheduledJob& record,
                    const std::string& suffix) {
   const auto us = [](double seconds) {
-    return static_cast<std::int64_t>(seconds * 1e6);
+    constexpr double kLimit = 0x1p63;  // the first double past int64's range
+    const double micros = seconds * 1e6;
+    if (!(micros < kLimit)) return std::numeric_limits<std::int64_t>::max();
+    return static_cast<std::int64_t>(micros);
   };
   const int lane = static_cast<int>(record.job.id);
   const std::string label = "job" + std::to_string(record.job.id) + " size " +

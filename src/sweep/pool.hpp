@@ -1,31 +1,30 @@
-// Deterministic work-stealing thread-pool executor for experiment sweeps.
+// Deterministic thread-pool executor for experiment sweeps.
 //
 // Design (cf. the lockless job-system idiom in SNIPPETS.md Snippet 2,
 // stripped to what sweeps need):
-//  * a fixed worker count chosen up front, with lockless work stealing
-//    inside a run: every run's index space is split into contiguous chunks,
-//    each worker's share is seeded into its own bounded Chase-Lev deque,
-//    the owner pops locally in index order (LIFO on the deque, which holds
-//    its chunks lowest-last) and idle workers steal the farthest-away
-//    chunks FIFO from the top. Claiming a chunk costs a handful of atomic
-//    operations — no mutex, no condition variable — so the claim path stops
-//    being the serialization point long before the hardware does;
-//  * range-granular entries: a deque entry is a chunk id naming a
-//    contiguous index range computed arithmetically from (n, chunk count),
-//    so a million-row run_indexed seeds the same ~32-entries-per-worker
-//    deques as a 24-row bench grid — steal granularity is bounded and the
-//    queues never grow with n;
+//  * a fixed worker count chosen up front, with lock-free chunk claiming
+//    inside a run: every run's index space is split into at most
+//    workers * kChunksPerWorker contiguous chunks, and each worker owns one
+//    share — an atomic cursor over its contiguous range of chunk ids. A
+//    worker drains its own share in ascending index order with one
+//    fetch_add per chunk, then walks the other shares round-robin and
+//    claims from them the same way; it leaves the run once every share is
+//    exhausted. No mutex, CAS retry or idle rescan sits on the claim path
+//    (DESIGN.md decision #14 records why per-worker shares and not one
+//    global cursor);
+//  * range-granular claims: a chunk id names a contiguous index range
+//    computed arithmetically from (n, chunk count), so a million-row
+//    run_indexed claims as few chunks as a 24-row bench grid;
 //  * index-addressed tasks: a run executes fn(0..n-1) exactly once each and
 //    results are written to index-addressed slots, so the output is
-//    independent of which worker runs which task — the steal schedule can
+//    independent of which worker runs which task — the claim schedule can
 //    only change timing, never bytes;
 //  * deterministic randomness: every task derives its RNG seed from
 //    (base_seed, task_index) alone via task_seed(), never from thread ids
 //    or scheduling order, so a sweep with threads=N is bit-identical to
-//    threads=1 no matter who stole what.
+//    threads=1 no matter who claimed what.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -35,9 +34,8 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
-
-#include "support/hot.hpp"
 
 namespace npac::sweep {
 
@@ -50,47 +48,12 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::int64_t task_index);
 /// select std::thread::hardware_concurrency(), floored at 1.
 int resolved_thread_count(int threads);
 
-/// Bounded single-owner/multi-thief deque of chunk ids — the Chase-Lev
-/// work-stealing deque (Chase & Lev, SPAA '05) in the fence-free
-/// formulation of Le et al. (PPoPP '13), with seq_cst orderings on the
-/// top/bottom handshake instead of standalone fences so ThreadSanitizer
-/// models it exactly. The owner pushes and pops at the bottom; any thread
-/// may steal from the top. Capacity is fixed: entries are chunk ids, and a
-/// run never seeds more than kCapacity chunks per worker, so push cannot
-/// overflow and no path allocates.
-class StealDeque {
- public:
-  static constexpr std::int64_t kEmpty = -1;      ///< nothing to take
-  static constexpr std::int64_t kContended = -2;  ///< lost a steal race
-  static constexpr std::size_t kCapacity = 64;    ///< power of two
-
-  /// Owner-side (or quiescent-seeder) append at the bottom. Returns false
-  /// when full — callers size runs so this cannot happen mid-run.
-  bool push(std::int64_t chunk);
-
-  /// Owner-side LIFO take from the bottom; kEmpty when drained.
-  NPAC_HOT std::int64_t pop();
-
-  /// Thief-side FIFO take from the top; kEmpty when drained, kContended
-  /// when another thief (or the owner's last-entry pop) won the race.
-  NPAC_HOT std::int64_t steal();
-
- private:
-  static constexpr std::size_t kMask = kCapacity - 1;
-  // Owner end and thief end on separate cache lines so steals do not
-  // invalidate the owner's pop line on every CAS.
-  alignas(64) std::atomic<std::int64_t> bottom_{0};
-  alignas(64) std::atomic<std::int64_t> top_{0};
-  std::array<std::atomic<std::int64_t>, kCapacity> slots_{};
-};
-
 class ThreadPool {
  public:
-  /// Upper bound on chunks seeded per worker deque: a run is split into at
-  /// most workers * kStealSlicesPerWorker contiguous chunks (fewer when
-  /// n is smaller — then a chunk is a single index). Must stay below
-  /// StealDeque::kCapacity.
-  static constexpr std::int64_t kStealSlicesPerWorker = 32;
+  /// Upper bound on chunks per worker share: a run is split into at most
+  /// workers * kChunksPerWorker contiguous chunks (fewer when n is
+  /// smaller — then a chunk is a single index).
+  static constexpr std::int64_t kChunksPerWorker = 32;
 
   /// threads < 1 selects std::thread::hardware_concurrency().
   explicit ThreadPool(int threads = 1);
@@ -111,33 +74,31 @@ class ThreadPool {
   /// Observability: when an obs::Registry is installed, every run records
   /// per-worker counters (`pool.worker<k>.tasks`, `.busy_ns`, `.idle_ns`
   /// for the spawned workers' waits), pool totals (`pool.runs`,
-  /// `pool.tasks`, `pool.busy_ns`), steal-schedule counters (`pool.steals`
-  /// successful steals, `pool.steal_fails` lost steal races) and a
-  /// `pool.queue_wait_us` histogram of chunk claim latencies. All of a
-  /// run's counter updates are flushed before run_indexed returns, so a
-  /// caller may read the registry immediately afterwards. With no
-  /// registry installed each chunk pays one pointer load and one branch.
+  /// `pool.tasks`, `pool.busy_ns`), `pool.steals` (chunks claimed from
+  /// another worker's share) and a `pool.queue_wait_us` histogram of chunk
+  /// claim latencies. All of a run's counter updates are flushed before
+  /// run_indexed returns, so a caller may read the registry immediately
+  /// afterwards. With no registry installed each chunk pays one pointer
+  /// load and one branch.
   void run_indexed(std::int64_t num_tasks,
                    const std::function<void(std::int64_t)>& fn);
 
  private:
-  // One worker's deque plus its padding; separate cache lines per worker.
-  struct alignas(64) WorkerState {
-    StealDeque deque;
+  /// One worker's range of chunk ids [next, end), on its own cache line.
+  /// `end` is written at run start under the mutex and read-only after.
+  struct alignas(64) Share {
+    std::atomic<std::int64_t> next{0};
+    std::int64_t end = 0;
   };
 
   void worker_loop(int worker_index);
-  /// Pops/steals chunks until remaining_ hits zero. `fn` is the run's task
+  /// Claims chunks until every share is exhausted. `fn` is the run's task
   /// body — read from fn_ under the mutex (or, for worker #0, the caller's
   /// own argument) so a late-waking worker never touches a cleared fn_.
   void work_through_run(int worker_index,
                         const std::function<void(std::int64_t)>& fn);
   /// Executes (or, after a failure, discards) the tasks of one chunk.
   void run_chunk(std::int64_t chunk, const std::function<void(std::int64_t)>& fn);
-  /// One round-robin pass over the other workers' deques. Returns a chunk
-  /// id or StealDeque::kEmpty; counts outcomes into the referenced locals.
-  std::int64_t try_steal(int worker_index, std::uint64_t& steals,
-                         std::uint64_t& steal_fails);
   /// The half-open index range of chunk `chunk` (balanced split of
   /// [0, num_tasks_) into num_chunks_ contiguous pieces).
   std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t chunk) const;
@@ -158,17 +119,16 @@ class ThreadPool {
   std::exception_ptr first_error_;
   std::chrono::steady_clock::time_point run_start_;  // for queue-wait metrics
 
-  // --- hot-path state (lock-free): completion and fail-fast.
-  std::atomic<std::int64_t> remaining_{0};  ///< tasks not yet run/discarded
-  std::atomic<bool> failed_{false};         ///< set by the first error
+  // --- hot-path state (lock-free): fail-fast and chunk claims.
+  std::atomic<bool> failed_{false};  ///< set by the first error
+  std::unique_ptr<Share[]> shares_;  ///< one per worker, index = worker
 
   int worker_count_ = 1;
-  std::unique_ptr<WorkerState[]> states_;
   std::vector<std::thread> workers_;
 };
 
 /// Order-preserving parallel map: out[i] = fn(i). The result layout depends
-/// only on n and fn, never on the pool size or the steal schedule.
+/// only on n and fn, never on the pool size or the claim schedule.
 template <typename T, typename Fn>
 std::vector<T> parallel_map(ThreadPool& pool, std::int64_t n, Fn&& fn) {
   std::vector<T> out(static_cast<std::size_t>(n));

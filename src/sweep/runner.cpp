@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -20,17 +21,6 @@ namespace {
 constexpr const char* kUsage =
     "flags: [--threads N] [--seed S] [--csv PATH] [--fast] [--list] "
     "[--filter=SUBSTR] [--metrics-out=PATH] [--trace-out=PATH] [--progress]";
-
-std::int64_t parse_integer(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": malformed integer '" + text + "'\n" +
-                                kUsage);
-  }
-  return value;
-}
 
 /// "mp<midplanes>" labels for the canonical per-size grids, so
 /// --filter=mp8 reruns one job size in isolation.
@@ -65,16 +55,10 @@ RunnerConfig parse_runner_flags(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--threads") {
-      const std::int64_t threads = parse_integer(flag, value());
-      // < 1 selects hardware concurrency; cap the explicit count well
-      // below anything spawnable so a typo cannot ask for 10^9 workers.
-      if (threads > 4096) {
-        throw std::invalid_argument(flag + ": at most 4096 threads\n" +
-                                    kUsage);
-      }
-      config.threads = static_cast<int>(threads);
+      config.threads = parse_thread_count_flag(flag, value(), kUsage);
     } else if (flag == "--seed") {
-      config.seed = static_cast<std::uint64_t>(parse_integer(flag, value()));
+      config.seed =
+          static_cast<std::uint64_t>(parse_integer_flag(flag, value(), kUsage));
     } else if (flag == "--csv") {
       config.csv_path = value();
     } else if (flag == "--fast") {
@@ -100,6 +84,32 @@ RunnerConfig parse_runner_flags(int argc, char** argv) {
     }
   }
   return config;
+}
+
+std::int64_t parse_integer_flag(const std::string& flag, const char* text,
+                                const std::string& usage) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument(flag + ": malformed integer '" + text + "'\n" +
+                                usage);
+  }
+  return value;
+}
+
+int parse_thread_count_flag(const std::string& flag, const char* text,
+                            const std::string& usage) {
+  constexpr std::int64_t kMaxThreads = 4096;
+  const std::int64_t threads = parse_integer_flag(flag, text, usage);
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument(flag + ": at most " +
+                                std::to_string(kMaxThreads) + " threads\n" +
+                                usage);
+  }
+  // Clamp before narrowing: -2147483649 would otherwise wrap to INT_MAX.
+  return static_cast<int>(
+      std::max<std::int64_t>(threads, std::numeric_limits<int>::min()));
 }
 
 std::string row_label(const BenchGrid& grid, std::int64_t row) {

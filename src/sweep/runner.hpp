@@ -144,6 +144,18 @@ struct RunnerConfig {
 /// usage line) on an unknown flag or a malformed value.
 RunnerConfig parse_runner_flags(int argc, char** argv);
 
+/// Parses `text`, the value of `flag`, as a base-10 int64. Throws
+/// std::invalid_argument "<flag>: malformed integer '<text>'" followed by
+/// `usage` when it is empty, has trailing characters or leaves int64.
+std::int64_t parse_integer_flag(const std::string& flag, const char* text,
+                                const std::string& usage);
+
+/// Parses a worker-count flag: an integer as above (< 1 selects hardware
+/// concurrency) of at most 4096, far below anything spawnable, so a typo
+/// cannot ask for 10^9 threads.
+int parse_thread_count_flag(const std::string& flag, const char* text,
+                            const std::string& usage);
+
 // --------------------------------------------------------------------------
 // Grids
 // --------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-// TSan-targeted hammer: the work-stealing sweep::ThreadPool + the striped
-// SweepContext memo caches driven hard from 8 workers with metrics AND
-// tracing fully on. The CI `tsan` job runs this binary (and the rest of
-// `ctest -L concurrency`) under -fsanitize=thread; unsynchronized access to
-// the cache shards, the Chase-Lev deques, the pool bookkeeping, or the obs
-// instruments shows up as a hard failure here instead of a once-a-month
-// flaky digest.
+// TSan-targeted hammer: sweep::ThreadPool + the striped SweepContext memo
+// caches driven hard from 8 workers with metrics AND tracing fully on. The
+// CI `tsan` job runs this binary (and the rest of `ctest -L concurrency`)
+// under -fsanitize=thread; unsynchronized access to the cache shards, the
+// pool's share cursors and run bookkeeping, or the obs instruments shows
+// up as a hard failure here instead of a once-a-month flaky digest.
 //
 // The assertions double as a determinism pin: every task's value must
-// equal the serial recomputation, regardless of which worker stole which
+// equal the serial recomputation, regardless of which worker claimed which
 // chunk or won which cache miss — including at deliberately skewed task
-// costs, where the steal schedule differs wildly between thread counts.
+// costs, where the claim schedule differs wildly between thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -431,6 +431,39 @@ TEST(StreamingSchedulerTest, BothEntryPointsRecordTheSimulatedTimeline) {
   EXPECT_EQ(sim_spans(wrapped), streamed_spans);
 }
 
+TEST(StreamingSchedulerTest, SimulatedTimelineSaturatesPastInt64Micros) {
+  // Valid jobs whose simulated times leave the int64 microsecond range:
+  // job 0 arrives at 1e300 s, and job 1's finish overflows to +inf. The
+  // spans saturate at the int64 maximum instead of hitting an undefined
+  // float-to-int cast, and tracing leaves the schedule unchanged.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<Job> jobs = {make_job(0, 1, 1.0, true, 1e300),
+                                 make_job(1, 1, 1e308, true, 1.7e308)};
+  obs::Registry::Options options;
+  options.tracing = true;
+  obs::Registry registry(options);
+  ScheduleResult traced;
+  {
+    obs::ScopedRegistry scoped(registry);
+    traced =
+        simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+  }
+  const auto untraced =
+      simulate_schedule(bgq::mira(), SchedulerPolicy::kBestBisection, jobs);
+  ASSERT_EQ(traced.jobs.size(), 2u);
+  EXPECT_TRUE(std::isinf(traced.jobs[1].finish_seconds));
+  for (std::size_t i = 0; i < traced.jobs.size(); ++i) {
+    EXPECT_EQ(traced.jobs[i].start_seconds, untraced.jobs[i].start_seconds);
+    EXPECT_EQ(traced.jobs[i].finish_seconds, untraced.jobs[i].finish_seconds);
+  }
+  const auto spans = sim_spans(registry);
+  ASSERT_EQ(spans.size(), 2u);  // neither job queued
+  for (const auto& [name, lane, ts_us, dur_us] : spans) {
+    EXPECT_EQ(ts_us, kMax) << name;
+    EXPECT_EQ(dur_us, lane == 1 ? kMax : 0) << name;
+  }
+}
+
 TEST(StreamingSchedulerTest, EasyBackfillFillsHoleWithoutDelayingHead) {
   // Job 0 takes 64 of Mira's 96 units; job 1 needs the whole machine and
   // blocks; job 2 is tiny and finishes exactly at the head's shadow time,

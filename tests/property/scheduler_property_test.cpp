@@ -1,14 +1,19 @@
 // Property sweeps over the scheduler simulation: conservation (every job
 // runs exactly once), capacity (concurrent placements never exceed the
 // machine and never overlap), occupancy (free units match the running
-// jobs at every placement, on every allocator family and policy), and
+// jobs at every placement, on every allocator family and policy, and no
+// midplane is booked twice on the cuboid family), and
 // policy dominance relations, across machines and job mixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 #include <vector>
 
+#include "bgq/machine.hpp"
 #include "core/allocator.hpp"
 #include "core/scheduler.hpp"
 #include "core/scheduler_stream.hpp"
@@ -105,14 +110,36 @@ std::unique_ptr<PartitionAllocator> family_allocator(int family) {
   return make_allocator(topo::TopologySpec::fat_tree(8));
 }
 
+/// Appends the flat cell ids of `placement` on a torus of `dims`, each
+/// coordinate wrapped modulo its dimension.
+void append_torus_cells(const Placement& placement,
+                        const std::array<std::int64_t, 4>& dims,
+                        std::vector<std::int64_t>& cells) {
+  const auto& [o0, o1, o2, o3] = placement.origin;
+  for (std::int64_t a = 0; a < placement.extent[0]; ++a) {
+    for (std::int64_t b = 0; b < placement.extent[1]; ++b) {
+      for (std::int64_t c = 0; c < placement.extent[2]; ++c) {
+        for (std::int64_t d = 0; d < placement.extent[3]; ++d) {
+          cells.push_back(
+              (((o0 + a) % dims[0] * dims[1] + (o1 + b) % dims[1]) * dims[2] +
+               (o2 + c) % dims[2]) * dims[3] +
+              (o3 + d) % dims[3]);
+        }
+      }
+    }
+  }
+}
+
 class OccupancySweep
     : public ::testing::TestWithParam<std::tuple<int, SchedulerPolicy>> {};
 
 TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
   // At each placement the allocator must hold exactly the units of the
   // jobs still running — including after kEasyBackfill's tentative
-  // place-and-release probes.
+  // place-and-release probes. On the cuboid family the running jobs'
+  // cuboids must also be disjoint: no midplane is booked twice.
   const auto& [family, policy] = GetParam();
+  const std::array<std::int64_t, 4> mira_dims = bgq::mira().shape.dims();
   const auto allocator = family_allocator(family);
   const auto jobs =
       mixed_stream(feasible_unit_sizes(*allocator), 60, 17 + family);
@@ -123,14 +150,23 @@ TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
     emitted.push_back(record);
     ASSERT_EQ(record.partition.units, record.job.midplanes);
     std::int64_t held = 0;
+    std::vector<std::int64_t> cells;
     for (const ScheduledJob& placed : emitted) {
       if (placed.finish_seconds > record.start_seconds) {
         held += placed.partition.units;
+        if (family == 0) {
+          ASSERT_TRUE(placed.partition.cuboid.has_value());
+          append_torus_cells(*placed.partition.cuboid, mira_dims, cells);
+        }
       }
     }
     ASSERT_EQ(allocator->free_units(), allocator->total_units() - held)
         << "after placing job " << record.job.id << " at t = "
         << record.start_seconds;
+    std::sort(cells.begin(), cells.end());
+    ASSERT_EQ(std::adjacent_find(cells.begin(), cells.end()), cells.end())
+        << "a midplane is double-booked after placing job " << record.job.id
+        << " at t = " << record.start_seconds;
   });
   EXPECT_EQ(emitted.size(), jobs.size());
   if (policy == SchedulerPolicy::kEasyBackfill) {

@@ -147,14 +147,16 @@ TEST(ThreadPoolTest, ReusableAcrossManyRuns) {
 }
 
 TEST(ThreadPoolTest, HugeRunsUseBoundedChunks) {
-  // A run far larger than the deques' capacity must still execute every
-  // index exactly once: the executor splits [0, n) into at most
-  // workers * kStealSlicesPerWorker contiguous chunks, so the per-worker
-  // queues stay bounded no matter how large n grows.
+  // A run far larger than the chunk budget must still execute every index
+  // exactly once, and claim exactly workers * kChunksPerWorker chunks: the
+  // executor splits [0, n) into that many contiguous chunks however large n
+  // grows. Each claim records one queue-wait observation, so the histogram
+  // count is the number of chunks claimed.
+  obs::Registry registry;
+  obs::ScopedRegistry scoped(registry);
   ThreadPool pool(4);
   constexpr std::int64_t kTasks = 100000;
-  ASSERT_GT(kTasks, static_cast<std::int64_t>(4 * ThreadPool::kStealSlicesPerWorker) *
-                        static_cast<std::int64_t>(StealDeque::kCapacity));
+  constexpr std::int64_t kChunks = 4 * ThreadPool::kChunksPerWorker;
   std::vector<std::atomic<int>> counts(kTasks);
   pool.run_indexed(kTasks, [&](std::int64_t i) {
     counts[static_cast<std::size_t>(i)].fetch_add(1);
@@ -162,6 +164,12 @@ TEST(ThreadPoolTest, HugeRunsUseBoundedChunks) {
   for (std::int64_t i = 0; i < kTasks; ++i) {
     ASSERT_EQ(counts[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
   }
+  EXPECT_EQ(
+      registry.histogram("pool.queue_wait_us", obs::duration_bounds_us())
+          .count(),
+      static_cast<std::uint64_t>(kChunks));
+  EXPECT_EQ(registry.counter_value("pool.tasks"),
+            static_cast<std::uint64_t>(kTasks));
 }
 
 TEST(ThreadPoolTest, NonDividingCountsCoverEveryIndex) {
@@ -183,11 +191,11 @@ TEST(ThreadPoolTest, NonDividingCountsCoverEveryIndex) {
 }
 
 TEST(ThreadPoolTest, StealHappensAndIsCounted) {
-  // Deterministically force a steal: with 3 tasks on 2 workers, worker #0
-  // is seeded chunks {0, 1} and worker #1 chunk {2}. Task 0 blocks worker
-  // #0 until task 1 completes — and task 1 sits in worker #0's own deque,
-  // so the only way the run can finish is worker #1 stealing it. The
-  // pool.steals counter must record that.
+  // Deterministically force a steal: with 3 tasks on 2 workers, worker #0's
+  // share holds chunks {0, 1} and worker #1's chunk {2}. Task 0 blocks
+  // whichever worker claims it until task 1 completes, so tasks 0 and 1 run
+  // on different workers — one of them is claimed by worker #1 from worker
+  // #0's share. The pool.steals counter must record that.
   obs::Registry registry;
   obs::ScopedRegistry scoped(registry);
   ThreadPool pool(2);
@@ -218,7 +226,7 @@ TEST(ThreadPoolTest, CountsTasksWhenARegistryIsInstalled) {
   EXPECT_EQ(registry.gauge_value("pool.workers"),
             static_cast<double>(pool.num_threads()));
   // Every task's queue wait lands in the shared histogram, whichever
-  // worker (including the calling thread, worker #0) dequeued it.
+  // worker (including the calling thread, worker #0) claimed it.
   EXPECT_EQ(
       registry.histogram("pool.queue_wait_us", obs::duration_bounds_us())
           .count(),

@@ -60,6 +60,10 @@ TEST(RunnerFlagsTest, RejectsUnknownAndMalformed) {
   // Negative counts are valid: they select hardware concurrency.
   const char* negative[] = {"bench", "--threads", "-1"};
   EXPECT_EQ(parse_runner_flags(3, const_cast<char**>(negative)).threads, -1);
+  // Below int's range they stay negative instead of wrapping to a huge
+  // positive worker count.
+  const char* below_int[] = {"bench", "--threads", "-2147483649"};
+  EXPECT_LT(parse_runner_flags(3, const_cast<char**>(below_int)).threads, 1);
 }
 
 TEST(RunnerGridTest, RowsComputeInIndexOrderWithTaskSeeds) {
