@@ -61,16 +61,6 @@ const PartitionOracle& default_partition_oracle() {
   return oracle;
 }
 
-std::string to_string(PositionScoring scoring) {
-  switch (scoring) {
-    case PositionScoring::kScanOrder:
-      return "scan-order";
-    case PositionScoring::kBestFit:
-      return "best-fit";
-  }
-  throw std::invalid_argument("to_string: unknown PositionScoring");
-}
-
 // ---------------------------------------------------------------------------
 // Placement / MidplaneGrid (torus-family layout)
 // ---------------------------------------------------------------------------
@@ -172,9 +162,8 @@ std::int64_t MidplaneGrid::release(std::int64_t job_id) {
   return freed;
 }
 
-template <typename Visit>
-void MidplaneGrid::for_each_free_placement(const bgq::Geometry& shape,
-                                           Visit&& visit) const {
+std::optional<Placement> MidplaneGrid::find_placement(
+    const bgq::Geometry& shape) const {
   // Every distinct axis assignment of the canonical shape, anchored at
   // every origin: hosts have at most 192 cells and 24 permutations.
   std::array<std::int64_t, 4> extent = shape.dims();
@@ -192,73 +181,13 @@ void MidplaneGrid::for_each_free_placement(const bgq::Geometry& shape,
         for (std::int64_t c = 0; c < dims_[2]; ++c) {
           for (std::int64_t d = 0; d < dims_[3]; ++d) {
             placement.origin = {a, b, c, d};
-            if (fits(placement) && !visit(placement)) return;
+            if (fits(placement)) return placement;
           }
         }
       }
     }
   } while (std::next_permutation(extent.begin(), extent.end()));
-}
-
-std::optional<Placement> MidplaneGrid::find_placement(
-    const bgq::Geometry& shape) const {
-  std::optional<Placement> found;
-  for_each_free_placement(shape, [&](const Placement& placement) {
-    found = placement;
-    return false;
-  });
-  return found;
-}
-
-std::optional<Placement> MidplaneGrid::find_placement_best_fit(
-    const bgq::Geometry& shape) const {
-  std::optional<Placement> best;
-  std::int64_t best_contact = -1;
-  for_each_free_placement(shape, [&](const Placement& placement) {
-    const std::int64_t contact = boundary_contact(placement);
-    if (contact > best_contact) {
-      best_contact = contact;
-      best = placement;
-    }
-    return true;
-  });
-  return best;
-}
-
-std::int64_t MidplaneGrid::boundary_contact(const Placement& placement) const {
-  // Count occupied neighbors just outside the placement, one per
-  // face-adjacent (cell, direction) pair. A dimension the placement spans
-  // fully has no outside along it (the torus wraps the placement onto
-  // itself), so it contributes nothing.
-  std::int64_t contact = 0;
-  std::array<std::int64_t, 4> offset{};
-  for (offset[0] = 0; offset[0] < placement.extent[0]; ++offset[0]) {
-    for (offset[1] = 0; offset[1] < placement.extent[1]; ++offset[1]) {
-      for (offset[2] = 0; offset[2] < placement.extent[2]; ++offset[2]) {
-        for (offset[3] = 0; offset[3] < placement.extent[3]; ++offset[3]) {
-          for (std::size_t dim = 0; dim < 4; ++dim) {
-            if (placement.extent[dim] == dims_[dim]) continue;  // no outside
-            for (const std::int64_t step : {std::int64_t{-1}, std::int64_t{1}}) {
-              const std::int64_t neighbor_offset = offset[dim] + step;
-              if (neighbor_offset >= 0 &&
-                  neighbor_offset < placement.extent[dim]) {
-                continue;  // inside the placement
-              }
-              std::array<std::int64_t, 4> cell{};
-              for (std::size_t i = 0; i < 4; ++i) {
-                cell[i] = (placement.origin[i] + offset[i]) % dims_[i];
-              }
-              cell[dim] = (placement.origin[dim] + neighbor_offset % dims_[dim] +
-                           dims_[dim]) %
-                          dims_[dim];
-              if (owner_[cell_index(cell)] != -1) ++contact;
-            }
-          }
-        }
-      }
-    }
-  }
-  return contact;
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,9 +237,7 @@ std::optional<Partition> CuboidAllocator::try_place(std::int64_t size,
                                                     std::int64_t job_id) {
   const auto& geometries = geometries_for(size);
   const bgq::Geometry& shape = geometries.at(candidate);
-  const auto placement = position_scoring() == PositionScoring::kBestFit
-                             ? grid_.find_placement_best_fit(shape)
-                             : grid_.find_placement(shape);
+  const auto placement = grid_.find_placement(shape);
   if (!placement) return std::nullopt;
   grid_.occupy(*placement, job_id);
   Partition partition;
@@ -340,35 +267,21 @@ ContainerOccupancy::ContainerOccupancy(std::int64_t containers,
       free_units_(containers * container_size) {}
 
 NPAC_HOT std::span<const std::int64_t> ContainerOccupancy::place(
-    std::int64_t blocks, std::int64_t per_block, PositionScoring scoring,
-    std::int64_t job_id) {
+    std::int64_t blocks, std::int64_t per_block, std::int64_t job_id) {
   // -1 marks a free unit, so a negative owner would corrupt the counts.
   if (job_id < 0) {
     throw std::invalid_argument(
         "ContainerOccupancy::place: job id must be >= 0");
   }
-  std::size_t qualifying = 0;
-  for (std::size_t c = 0; c < container_free_.size(); ++c) {
+  const auto wanted = static_cast<std::size_t>(blocks);
+  std::size_t found = 0;
+  for (std::size_t c = 0; c < container_free_.size() && found < wanted; ++c) {
     if (container_free_[c] >= per_block) {
-      scratch_[qualifying++] = static_cast<std::int64_t>(c);
+      scratch_[found++] = static_cast<std::int64_t>(c);
     }
   }
-  if (qualifying < static_cast<std::size_t>(blocks)) return {};
-  // The two modes differ only in the ranking key; ties go to the lower id.
-  const auto key = [&](std::int64_t c) {
-    return scoring == PositionScoring::kBestFit
-               ? container_free_[static_cast<std::size_t>(c)]
-               : std::int64_t{0};
-  };
-  const auto first = scratch_.begin();
-  const auto last_chosen = first + blocks;
-  std::partial_sort(first, last_chosen,
-                    first + static_cast<std::ptrdiff_t>(qualifying),
-                    [&](std::int64_t a, std::int64_t b) {
-                      return std::pair(key(a), a) < std::pair(key(b), b);
-                    });
-  std::sort(first, last_chosen);
-  const std::span<const std::int64_t> chosen(first, last_chosen);
+  if (found < wanted) return {};
+  const std::span<const std::int64_t> chosen(scratch_.data(), found);
   for (const std::int64_t c : chosen) {
     std::int64_t taken = 0;
     const std::int64_t end = (c + 1) * container_size_;
@@ -478,8 +391,7 @@ std::optional<Partition> DragonflyAllocator::try_place(std::int64_t size,
   const auto& layouts = layouts_for(size);
   const Layout& layout = layouts.at(candidate);
   const auto groups =
-      occupancy_.place(layout.groups, layout.chassis_per_group,
-                       position_scoring(), job_id);
+      occupancy_.place(layout.groups, layout.chassis_per_group, job_id);
   if (groups.empty()) return std::nullopt;
   Partition partition;
   partition.label =
@@ -547,7 +459,7 @@ std::optional<Partition> FatTreeAllocator::try_place(std::int64_t size,
                                                      std::int64_t job_id) {
   const std::int64_t p = pods_for(size).at(candidate);
   const std::int64_t per_pod = size / p;
-  const auto pods = occupancy_.place(p, per_pod, position_scoring(), job_id);
+  const auto pods = occupancy_.place(p, per_pod, job_id);
   if (pods.empty()) return std::nullopt;
   const double quality = block_quality(size);
   Partition partition;

@@ -19,10 +19,12 @@
 //    bisection (the Section 5 claim this family demonstrates).
 //
 // Candidate layout *classes* for a job size are quality-ordered, so the
-// SchedulerPolicy trade-offs (first-fit / best-bisection / wait-for-best)
-// are expressed once in core::simulate_schedule and run unchanged on every
-// family. Expensive layout scoring goes through a PartitionOracle so sweeps
-// can memoize it per machine descriptor (sweep::CachedPartitionOracle).
+// SchedulerPolicy trade-offs (first-fit / best-bisection / wait-for-best /
+// EASY backfill) are expressed once in core::StreamingScheduler and run
+// unchanged on every family. Within a class, each family places by one
+// rule: first fit in its deterministic scan order. Expensive layout
+// scoring goes through a PartitionOracle so sweeps can memoize it per
+// machine descriptor (sweep::CachedPartitionOracle).
 #pragma once
 
 #include <array>
@@ -110,32 +112,15 @@ class MidplaneGrid {
   /// Frees every cell owned by `job_id`. Returns the number freed.
   std::int64_t release(std::int64_t job_id);
 
-  /// Finds a free anchored placement whose canonical shape is `shape`,
-  /// trying all axis permutations and origins; nullopt when none fits.
+  /// Finds the first free anchored placement whose canonical shape is
+  /// `shape` in scan order: axis permutations (lexicographic), then origins
+  /// (row-major); nullopt when none fits.
   std::optional<Placement> find_placement(const bgq::Geometry& shape) const;
-
-  /// Fragmentation-aware variant: scans the same permutation x origin space
-  /// but returns the fitting placement with the highest boundary contact —
-  /// the count of face-adjacent neighbor cells (outside the placement,
-  /// wrap-around included) that are already occupied. Packing new cuboids
-  /// against existing ones leaves the free space in fewer, larger chunks.
-  /// Ties resolve to scan order, so the choice is deterministic.
-  std::optional<Placement> find_placement_best_fit(
-      const bgq::Geometry& shape) const;
 
  private:
   std::size_t cell_index(const std::array<std::int64_t, 4>& cell) const;
   template <typename Fn>
   void for_each_cell(const Placement& placement, Fn&& fn) const;
-  /// Walks every free placement of `shape` in scan order (axis
-  /// permutations, then origins), calling `visit(placement)` until it
-  /// returns false.
-  template <typename Visit>
-  void for_each_free_placement(const bgq::Geometry& shape,
-                               Visit&& visit) const;
-  /// Occupied neighbor count just outside the placement (the best-fit
-  /// position score).
-  std::int64_t boundary_contact(const Placement& placement) const;
 
   bgq::Machine machine_;
   std::array<std::int64_t, 4> dims_;
@@ -146,25 +131,6 @@ class MidplaneGrid {
 // ---------------------------------------------------------------------------
 // The allocator interface.
 // ---------------------------------------------------------------------------
-
-/// How an allocator picks the concrete *position* of a layout class when
-/// several free node sets realize it — the axis orthogonal to the layout
-/// class itself (which fixes the partition's shape/quality).
-enum class PositionScoring {
-  /// First fit in the family's deterministic scan order — the pre-refactor
-  /// behavior; the golden schedule digests are pinned to this mode.
-  kScanOrder,
-  /// Fragmentation-aware: among the feasible positions of the class, take
-  /// the one whose *residue* fragments the machine least — tightest
-  /// containers first (dragonfly groups / fat-tree pods with the least
-  /// free slack), and on the torus the cuboid with the most occupied or
-  /// wall-adjacent boundary (least free surface exposed). Scores what a
-  /// placement leaves behind, not just the shape it takes; ties fall back
-  /// to scan order, so schedules stay deterministic.
-  kBestFit,
-};
-
-std::string to_string(PositionScoring scoring);
 
 /// Opaque handle to one allocated node set. `label` renders the per-family
 /// layout (torus: the placed cuboid; dragonfly: chassis x groups; fat-tree:
@@ -219,17 +185,8 @@ class PartitionAllocator {
   /// Frees every unit owned by `job_id`. Returns the number freed.
   virtual std::int64_t release(std::int64_t job_id) = 0;
 
-  /// Position-selection mode for try_place. Defaults to kScanOrder (the
-  /// digest-pinned pre-refactor behavior); switching modes changes which
-  /// node set a class occupies, never the class's quality score.
-  PositionScoring position_scoring() const { return scoring_; }
-  void set_position_scoring(PositionScoring scoring) { scoring_ = scoring; }
-
  protected:
   PartitionAllocator() = default;
-
- private:
-  PositionScoring scoring_ = PositionScoring::kScanOrder;
 };
 
 // ---------------------------------------------------------------------------
@@ -248,17 +205,14 @@ class ContainerOccupancy {
 
   std::int64_t free_units() const { return free_units_; }
 
-  /// Picks `blocks` containers holding at least `per_block` free units each
-  /// and occupies the lowest-id free units of each for `job_id`. Both
-  /// scoring modes rank the qualifying containers by one key with ties by
-  /// ascending id: kScanOrder ranks them all equal (first qualifying ids),
-  /// kBestFit by free slack (tightest first). Returns the chosen ids in
-  /// ascending order — a view of scratch the next call overwrites — or an
-  /// empty span, occupying nothing, when fewer than `blocks` qualify.
-  /// Throws std::invalid_argument for a negative `job_id`.
+  /// Takes the first `blocks` containers (by ascending id) holding at
+  /// least `per_block` free units each and occupies the lowest-id free
+  /// units of each for `job_id`. Returns the chosen ids in ascending order
+  /// — a view of scratch the next call overwrites — or an empty span,
+  /// occupying nothing, when fewer than `blocks` qualify. Throws
+  /// std::invalid_argument for a negative `job_id`.
   NPAC_HOT std::span<const std::int64_t> place(std::int64_t blocks,
                                                std::int64_t per_block,
-                                               PositionScoring scoring,
                                                std::int64_t job_id);
 
   /// Frees every unit owned by `job_id`. Returns the number freed (0 for an

@@ -368,12 +368,24 @@ StreamStats StreamingScheduler::run(JobSource& source,
       if (placed_any) continue;
       // Validated arrivals are finite, so nothing is pending, and the
       // drained case broke out above, so the queue is not empty: its head
-      // waits for a completion that never comes.
+      // waits for a completion that never comes. With jobs still running,
+      // the earliest finish overflowed to +inf (a finite start plus a
+      // finite runtime past the double range); with none, the head can
+      // never fit.
       const Job& head = queue.front();
-      throw std::logic_error(
-          "StreamingScheduler: deadlock — job " + std::to_string(head.id) +
-          " (size " + std::to_string(head.midplanes) +
-          " units) can never be placed on " + allocator_.descriptor());
+      const std::string waiting =
+          "job " + std::to_string(head.id) + " (size " +
+          std::to_string(head.midplanes) + " units)";
+      if (!heap.empty()) {
+        throw std::overflow_error(
+            "StreamingScheduler: the finish of running job " +
+            std::to_string(heap.front().job_id) +
+            " overflowed to +inf; " + waiting +
+            " waits on it and can never start on " + allocator_.descriptor());
+      }
+      throw std::logic_error("StreamingScheduler: deadlock — " + waiting +
+                             " can never be placed on " +
+                             allocator_.descriptor());
     }
     now = std::max(now, next_event);
 

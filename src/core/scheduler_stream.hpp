@@ -113,7 +113,9 @@ class StreamingScheduler {
   /// `std::invalid_argument` on a non-empty allocator, a negative job id,
   /// a non-finite or negative arrival, a non-finite or non-positive
   /// runtime, a size below 1, decreasing arrivals, or an infeasible job
-  /// size (naming the job id).
+  /// size (naming the job id); throws `std::overflow_error` when a queued
+  /// job waits on a running job whose finish overflowed to +inf (naming
+  /// both).
   StreamStats run(JobSource& source, const ScheduledJobSink& sink);
 
  private:

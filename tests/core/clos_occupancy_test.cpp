@@ -1,20 +1,18 @@
 // Clos container-occupancy tests: DragonflyAllocator and FatTreeAllocator
 // run in lockstep against in-test replicas of the placement code they
-// replaced — an owner array recounted per pick, separate scan-order and
-// best-fit pickers, and ostringstream labels. Random place/release
-// sequences must agree on every label, quality, unit count and free count,
-// under both position-scoring modes. The torus label (Placement::to_string)
-// is pinned against its stream-formatted replica the same way.
+// replaced — an owner array recounted per pick, a scan-order picker, and
+// ostringstream labels. Random place/release sequences must agree on every
+// label, quality, unit count and free count. The torus label
+// (Placement::to_string) is pinned against its stream-formatted replica
+// the same way.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -50,30 +48,6 @@ std::vector<std::int64_t> reference_pick(const std::vector<std::int64_t>& owner,
   return chosen;
 }
 
-std::vector<std::int64_t> reference_pick_best_fit(
-    const std::vector<std::int64_t>& owner, std::int64_t container_size,
-    std::int64_t blocks, std::int64_t per_block) {
-  const std::int64_t containers =
-      static_cast<std::int64_t>(owner.size()) / container_size;
-  std::vector<std::pair<std::int64_t, std::int64_t>> qualifying;  // (free, id)
-  for (std::int64_t c = 0; c < containers; ++c) {
-    std::int64_t free = 0;
-    for (std::int64_t u = 0; u < container_size; ++u) {
-      if (owner[static_cast<std::size_t>(c * container_size + u)] == -1) {
-        ++free;
-      }
-    }
-    if (free >= per_block) qualifying.emplace_back(free, c);
-  }
-  if (static_cast<std::int64_t>(qualifying.size()) < blocks) return {};
-  std::sort(qualifying.begin(), qualifying.end());
-  qualifying.resize(static_cast<std::size_t>(blocks));
-  std::vector<std::int64_t> chosen;
-  for (const auto& [free, id] : qualifying) chosen.push_back(id);
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
-}
-
 std::string reference_container_list(const std::vector<std::int64_t>& ids) {
   std::ostringstream out;
   out << "{";
@@ -100,12 +74,9 @@ struct ReferenceClos {
 
   /// Chosen container ids, or empty when the layout does not fit.
   std::vector<std::int64_t> place(std::int64_t blocks, std::int64_t per_block,
-                                  PositionScoring scoring,
                                   std::int64_t job_id) {
     const auto chosen =
-        scoring == PositionScoring::kBestFit
-            ? reference_pick_best_fit(owner, container_size, blocks, per_block)
-            : reference_pick(owner, container_size, blocks, per_block);
+        reference_pick(owner, container_size, blocks, per_block);
     for (const std::int64_t c : chosen) {
       std::int64_t taken = 0;
       for (std::int64_t u = 0; u < container_size && taken < per_block; ++u) {
@@ -151,9 +122,7 @@ struct ReferenceLayout {
 /// `layout` maps (size, class index) to the replica's view of the class.
 template <typename Layouts>
 void run_lockstep(PartitionAllocator& allocator, ReferenceClos& reference,
-                  PositionScoring scoring, std::uint64_t seed,
-                  const Layouts& layout) {
-  allocator.set_position_scoring(scoring);
+                  std::uint64_t seed, const Layouts& layout) {
   const std::vector<std::int64_t> sizes = feasible_unit_sizes(allocator);
   ASSERT_FALSE(sizes.empty());
   std::mt19937_64 rng(seed);
@@ -181,8 +150,8 @@ void run_lockstep(PartitionAllocator& allocator, ReferenceClos& reference,
       const ReferenceLayout expected = layout(size, candidate);
       const std::int64_t id = next_id++;
       const auto partition = allocator.try_place(size, candidate, id);
-      const auto chosen = reference.place(expected.blocks, expected.per_block,
-                                          scoring, id);
+      const auto chosen =
+          reference.place(expected.blocks, expected.per_block, id);
       ASSERT_EQ(partition.has_value(), !chosen.empty())
           << "size " << size << " class " << candidate;
       if (partition) {
@@ -214,48 +183,39 @@ std::string prefix(std::int64_t per_block, const char* unit,
 }
 
 void run_dragonfly(const topo::DragonflyConfig& config, std::uint64_t seed) {
-  for (const PositionScoring scoring :
-       {PositionScoring::kScanOrder, PositionScoring::kBestFit}) {
-    SCOPED_TRACE(to_string(scoring));
-    DragonflyAllocator allocator(config);
-    ReferenceClos reference(config.groups, config.h);
-    run_lockstep(allocator, reference, scoring, seed,
-                 [&](std::int64_t size, std::size_t candidate) {
-                   const auto& layouts = allocator.layouts_for(size);
-                   const auto& layout = layouts.at(candidate);
-                   return ReferenceLayout{
-                       layout.groups, layout.chassis_per_group, layout.quality,
-                       layouts.front().quality,
-                       prefix(layout.chassis_per_group, "ch x ",
-                              layout.groups, "gr@")};
-                 });
-  }
+  DragonflyAllocator allocator(config);
+  ReferenceClos reference(config.groups, config.h);
+  run_lockstep(allocator, reference, seed,
+               [&](std::int64_t size, std::size_t candidate) {
+                 const auto& layouts = allocator.layouts_for(size);
+                 const auto& layout = layouts.at(candidate);
+                 return ReferenceLayout{
+                     layout.groups, layout.chassis_per_group, layout.quality,
+                     layouts.front().quality,
+                     prefix(layout.chassis_per_group, "ch x ", layout.groups,
+                            "gr@")};
+               });
 }
 
 void run_fat_tree(std::int64_t k, std::uint64_t seed) {
-  for (const PositionScoring scoring :
-       {PositionScoring::kScanOrder, PositionScoring::kBestFit}) {
-    SCOPED_TRACE(to_string(scoring));
-    const topo::FatTreeConfig config{k, 1.5};
-    FatTreeAllocator allocator(config);
-    ReferenceClos reference(k, k / 2);
-    run_lockstep(allocator, reference, scoring, seed,
-                 [&](std::int64_t size, std::size_t candidate) {
-                   // The pre-refactor pod enumeration: every pod count p
-                   // that divides the size with at most k/2 subtrees each.
-                   std::vector<std::int64_t> pods;
-                   for (std::int64_t p = 1; p <= k; ++p) {
-                     if (size % p == 0 && size / p <= k / 2) pods.push_back(p);
-                   }
-                   EXPECT_EQ(allocator.pods_for(size), pods);
-                   const std::int64_t p = pods.at(candidate);
-                   const double quality =
-                       static_cast<double>(size * (k / 2)) / 2.0 *
-                       config.link_capacity;
-                   return ReferenceLayout{p, size / p, quality, quality,
-                                          prefix(size / p, "st x ", p, "pod@")};
-                 });
-  }
+  const topo::FatTreeConfig config{k, 1.5};
+  FatTreeAllocator allocator(config);
+  ReferenceClos reference(k, k / 2);
+  run_lockstep(allocator, reference, seed,
+               [&](std::int64_t size, std::size_t candidate) {
+                 // The pre-refactor pod enumeration: every pod count p that
+                 // divides the size with at most k/2 subtrees each.
+                 std::vector<std::int64_t> pods;
+                 for (std::int64_t p = 1; p <= k; ++p) {
+                   if (size % p == 0 && size / p <= k / 2) pods.push_back(p);
+                 }
+                 EXPECT_EQ(allocator.pods_for(size), pods);
+                 const std::int64_t p = pods.at(candidate);
+                 const double quality = static_cast<double>(size * (k / 2)) /
+                                        2.0 * config.link_capacity;
+                 return ReferenceLayout{p, size / p, quality, quality,
+                                        prefix(size / p, "st x ", p, "pod@")};
+               });
 }
 
 topo::DragonflyConfig dragonfly(std::int64_t a, std::int64_t h,

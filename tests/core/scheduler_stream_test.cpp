@@ -572,6 +572,28 @@ TEST(StreamingSchedulerTest, InfeasibleSizeThrowNamesJob) {
   }
 }
 
+TEST(StreamingSchedulerTest, OverflowedFinishThrowNamesRunningAndHeadJobs) {
+  // Valid inputs whose sum leaves the double range: job 1's finish is
+  // 1.7e308 + 1e308 = +inf, and job 2 needs the whole machine, so it waits
+  // on a completion that never comes. That is an overflow, not a
+  // deadlock: the error names the job whose finish overflowed and the
+  // head job waiting on it.
+  CuboidAllocator allocator(bgq::mira());
+  StreamingScheduler scheduler(allocator, SchedulerPolicy::kBestBisection);
+  VectorJobSource source({make_job(1, 1, 1e308, true, 1.7e308),
+                          make_job(2, 96, 1.0, true, 1.7e308)});
+  try {
+    scheduler.run(source, nullptr);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("job 1 "), std::string::npos) << message;
+    EXPECT_NE(message.find("job 2 "), std::string::npos) << message;
+    EXPECT_NE(message.find("overflow"), std::string::npos) << message;
+    EXPECT_EQ(message.find("deadlock"), std::string::npos) << message;
+  }
+}
+
 /// Runs `jobs` through a Mira StreamingScheduler and returns the message of
 /// the std::invalid_argument it must throw.
 std::string rejection(std::vector<Job> jobs) {
@@ -691,124 +713,6 @@ TEST(SyntheticJobSourceTest, ValidatesConfigEagerly) {
                std::invalid_argument);
   EXPECT_THROW(sweep::SyntheticJobSource({}, sweep::TraceConfig{}, 1),
                std::invalid_argument);
-}
-
-TEST(PositionScoringTest, Names) {
-  EXPECT_EQ(to_string(PositionScoring::kScanOrder), "scan-order");
-  EXPECT_EQ(to_string(PositionScoring::kBestFit), "best-fit");
-}
-
-TEST(PositionScoringTest, BestFitPlacesAdjacentToOccupiedCells) {
-  // Seed one occupied cell mid-grid: scan-order takes the first free
-  // origin (0,0,0,0); best-fit maximizes boundary contact, which the
-  // length-2 fourth dimension doubles for (2,2,1,0) — both of its dim-3
-  // neighbors wrap onto the occupied cell.
-  MidplaneGrid grid(bgq::mira());
-  Placement seed;
-  seed.origin = {2, 2, 1, 1};
-  seed.extent = {1, 1, 1, 1};
-  grid.occupy(seed, 1);
-  const auto scan = grid.find_placement(bgq::Geometry(1, 1, 1, 1));
-  const auto best = grid.find_placement_best_fit(bgq::Geometry(1, 1, 1, 1));
-  ASSERT_TRUE(scan.has_value());
-  ASSERT_TRUE(best.has_value());
-  const std::array<std::int64_t, 4> scan_origin = {0, 0, 0, 0};
-  const std::array<std::int64_t, 4> best_origin = {2, 2, 1, 0};
-  EXPECT_EQ(scan->origin, scan_origin);
-  EXPECT_EQ(best->origin, best_origin);
-}
-
-TEST(PositionScoringTest, CuboidAllocatorDispatchesOnScoringMode) {
-  // Through the allocator interface: under kBestFit the second unit job
-  // lands face-adjacent to the first instead of at the next scan origin.
-  CuboidAllocator allocator(bgq::mira());
-  allocator.set_position_scoring(PositionScoring::kBestFit);
-  EXPECT_EQ(allocator.position_scoring(), PositionScoring::kBestFit);
-  const auto first = allocator.try_place(1, 0, 1);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_NE(first->label.find("@(0,0,0,0)"), std::string::npos)
-      << first->label;
-  const auto second = allocator.try_place(1, 0, 2);
-  ASSERT_TRUE(second.has_value());
-  // (0,0,0,1) touches (0,0,0,0) from both directions of the length-2 dim.
-  EXPECT_NE(second->label.find("@(0,0,0,1)"), std::string::npos)
-      << second->label;
-}
-
-TEST(PositionScoringTest, DefaultScanOrderMatchesFindPlacement) {
-  // kScanOrder (the default) must leave the digest-pinned path untouched.
-  CuboidAllocator scan(bgq::mira());
-  CuboidAllocator plain(bgq::mira());
-  scan.set_position_scoring(PositionScoring::kScanOrder);
-  for (std::int64_t job = 0; job < 6; ++job) {
-    const auto a = scan.try_place(4, 0, job);
-    const auto b = plain.try_place(4, 0, job);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->label, b->label);
-  }
-}
-
-TEST(PositionScoringTest, BestFitPrefersTightestContainersOffTorus) {
-  // Dragonfly: partially fill group 0 so it has less slack than the empty
-  // groups; a subsequent single-chassis job must land in group 0 under
-  // best-fit (tightest container) but also in group 0 under scan-order
-  // (first qualifying) — so distinguish with group 1 partially filled and
-  // group 0 empty: scan-order takes group 0, best-fit takes group 1.
-  DragonflyAllocator scan(small_dragonfly());
-  DragonflyAllocator best(small_dragonfly());
-  best.set_position_scoring(PositionScoring::kBestFit);
-  // Occupy 3 of 4 chassis in group 1 (size 3 as a single-group slice).
-  const auto& layouts = scan.layouts_for(3);
-  std::size_t single_group = layouts.size();
-  for (std::size_t i = 0; i < layouts.size(); ++i) {
-    if (layouts[i].groups == 1) single_group = i;
-  }
-  ASSERT_LT(single_group, layouts.size());
-  // Seed both allocators identically: place into group 0 first, release,
-  // then occupy group 1 by placing twice and releasing the first.
-  for (DragonflyAllocator* allocator : {&scan, &best}) {
-    ASSERT_TRUE(allocator->try_place(4, 0, 90).has_value());   // group 0 full
-    ASSERT_TRUE(
-        allocator->try_place(3, single_group, 91).has_value());  // group 1: 3/4
-    ASSERT_EQ(allocator->release(90), 4);  // group 0 empty again
-  }
-  // A 1-chassis job: scan-order scans containers in id order and takes
-  // group 0 (first with >= 1 free); best-fit takes group 1 (1 free < 4).
-  const auto scan_placed = scan.try_place(1, 0, 92);
-  const auto best_placed = best.try_place(1, 0, 92);
-  ASSERT_TRUE(scan_placed.has_value());
-  ASSERT_TRUE(best_placed.has_value());
-  EXPECT_NE(scan_placed->label.find("{0}"), std::string::npos)
-      << scan_placed->label;
-  EXPECT_NE(best_placed->label.find("{1}"), std::string::npos)
-      << best_placed->label;
-}
-
-TEST(PositionScoringTest, BestFitKeepsFatTreePodsTight) {
-  FatTreeAllocator scan(topo::FatTreeConfig{8, 1.0});
-  FatTreeAllocator best(topo::FatTreeConfig{8, 1.0});
-  best.set_position_scoring(PositionScoring::kBestFit);
-  // 8 pods x 4 subtrees. Fill 3 of 4 subtrees of pod 1 on both.
-  for (FatTreeAllocator* allocator : {&scan, &best}) {
-    ASSERT_TRUE(allocator->try_place(4, 0, 80).has_value());  // pod 0 full
-    const auto pods = allocator->pods_for(3);
-    std::size_t one_pod = pods.size();
-    for (std::size_t i = 0; i < pods.size(); ++i) {
-      if (pods[i] == 1) one_pod = i;
-    }
-    ASSERT_LT(one_pod, pods.size());
-    ASSERT_TRUE(allocator->try_place(3, one_pod, 81).has_value());  // pod 1
-    ASSERT_EQ(allocator->release(80), 4);
-  }
-  const auto scan_placed = scan.try_place(1, 0, 82);
-  const auto best_placed = best.try_place(1, 0, 82);
-  ASSERT_TRUE(scan_placed.has_value());
-  ASSERT_TRUE(best_placed.has_value());
-  EXPECT_NE(scan_placed->label.find("{0}"), std::string::npos)
-      << scan_placed->label;
-  EXPECT_NE(best_placed->label.find("{1}"), std::string::npos)
-      << best_placed->label;
 }
 
 }  // namespace

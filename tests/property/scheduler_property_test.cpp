@@ -1,15 +1,21 @@
 // Property sweeps over the scheduler simulation: conservation (every job
 // runs exactly once), capacity (concurrent placements never exceed the
 // machine and never overlap), occupancy (free units match the running
-// jobs at every placement, on every allocator family and policy, and no
-// midplane is booked twice on the cuboid family), and
-// policy dominance relations, across machines and job mixes.
+// jobs at every placement and after every release, on every allocator
+// family and policy; no midplane is booked twice on the cuboid family and
+// no container over its size on the Clos families), and policy dominance
+// relations, across machines and job mixes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -130,6 +136,111 @@ void append_torus_cells(const Placement& placement,
   }
 }
 
+/// Forwards every call to `inner` and checks the occupancy invariant after
+/// each release: the units freed are the units that id was placed with,
+/// and free units equal total units minus the units still held.
+class ReleaseCheckingAllocator final : public PartitionAllocator {
+ public:
+  explicit ReleaseCheckingAllocator(PartitionAllocator& inner)
+      : inner_(inner) {}
+
+  std::int64_t releases() const { return releases_; }
+
+  std::string descriptor() const override { return inner_.descriptor(); }
+  std::string family() const override { return inner_.family(); }
+  std::int64_t total_units() const override { return inner_.total_units(); }
+  std::int64_t free_units() const override { return inner_.free_units(); }
+  std::vector<double> candidate_qualities(std::int64_t size) const override {
+    return inner_.candidate_qualities(size);
+  }
+
+  std::optional<Partition> try_place(std::int64_t size, std::size_t candidate,
+                                     std::int64_t job_id) override {
+    auto partition = inner_.try_place(size, candidate, job_id);
+    if (partition) {
+      EXPECT_EQ(held_.count(job_id), 0u) << "job " << job_id << " placed twice";
+      held_[job_id] = partition->units;
+      held_units_ += partition->units;
+    }
+    return partition;
+  }
+
+  std::int64_t release(std::int64_t job_id) override {
+    const std::int64_t freed = inner_.release(job_id);
+    const auto it = held_.find(job_id);
+    const std::int64_t placed = it == held_.end() ? 0 : it->second;
+    EXPECT_EQ(freed, placed) << "release of job " << job_id;
+    if (it != held_.end()) {
+      held_units_ -= placed;
+      held_.erase(it);
+    }
+    EXPECT_EQ(inner_.free_units(), inner_.total_units() - held_units_)
+        << "after releasing job " << job_id;
+    ++releases_;
+    return freed;
+  }
+
+ private:
+  PartitionAllocator& inner_;
+  std::map<std::int64_t, std::int64_t> held_;  // job id -> units placed
+  std::int64_t held_units_ = 0;
+  std::int64_t releases_ = 0;
+};
+
+/// A Clos partition label parsed back: `per_block` units in each of the
+/// listed containers ("2ch x 3gr@{0,4,5}", "3st x 2pod@{1,6}").
+struct ClosBlocks {
+  std::int64_t per_block = 0;
+  std::vector<std::int64_t> containers;
+};
+
+/// Consumes the decimal number at the front of `text`; on failure records
+/// it and empties `text`, so a malformed label ends the parse.
+std::int64_t parse_leading_int(std::string_view& text) {
+  std::int64_t value = -1;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  EXPECT_EQ(error, std::errc()) << "no number at '" << text << "'";
+  if (error != std::errc()) {
+    text = {};
+    return value;
+  }
+  text.remove_prefix(static_cast<std::size_t>(end - text.data()));
+  return value;
+}
+
+ClosBlocks parse_clos_label(std::string_view label) {
+  ClosBlocks blocks;
+  std::string_view rest = label;
+  blocks.per_block = parse_leading_int(rest);
+  const std::size_t x = rest.find(" x ");
+  EXPECT_NE(x, std::string_view::npos) << label;
+  rest.remove_prefix(x + 3);
+  const std::int64_t count = parse_leading_int(rest);
+  const std::size_t open = rest.find("@{");
+  EXPECT_NE(open, std::string_view::npos) << label;
+  rest.remove_prefix(open + 2);
+  while (!rest.empty() && rest.front() != '}') {
+    blocks.containers.push_back(parse_leading_int(rest));
+    if (!rest.empty() && rest.front() == ',') rest.remove_prefix(1);
+  }
+  EXPECT_EQ(rest, "}") << label;
+  EXPECT_EQ(static_cast<std::int64_t>(blocks.containers.size()), count)
+      << label;
+  return blocks;
+}
+
+/// Units per container of a Clos allocator: h chassis per dragonfly
+/// group, k/2 edge subtrees per fat-tree pod.
+std::int64_t container_size(const PartitionAllocator& allocator) {
+  if (const auto* dragonfly =
+          dynamic_cast<const DragonflyAllocator*>(&allocator)) {
+    return dragonfly->config().h;
+  }
+  const auto& fat_tree = dynamic_cast<const FatTreeAllocator&>(allocator);
+  return fat_tree.config().k / 2;
+}
+
 class OccupancySweep
     : public ::testing::TestWithParam<std::tuple<int, SchedulerPolicy>> {};
 
@@ -137,13 +248,16 @@ TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
   // At each placement the allocator must hold exactly the units of the
   // jobs still running — including after kEasyBackfill's tentative
   // place-and-release probes. On the cuboid family the running jobs'
-  // cuboids must also be disjoint: no midplane is booked twice.
+  // cuboids must also be disjoint: no midplane is booked twice; on the
+  // Clos families no container may hold more units than it has. Every
+  // release is checked by ReleaseCheckingAllocator.
   const auto& [family, policy] = GetParam();
   const std::array<std::int64_t, 4> mira_dims = bgq::mira().shape.dims();
-  const auto allocator = family_allocator(family);
+  const auto inner = family_allocator(family);
+  ReleaseCheckingAllocator allocator(*inner);
   const auto jobs =
-      mixed_stream(feasible_unit_sizes(*allocator), 60, 17 + family);
-  StreamingScheduler scheduler(*allocator, policy);
+      mixed_stream(feasible_unit_sizes(allocator), 60, 17 + family);
+  StreamingScheduler scheduler(allocator, policy);
   VectorJobSource source(jobs);
   std::vector<ScheduledJob> emitted;
   const auto stats = scheduler.run(source, [&](const ScheduledJob& record) {
@@ -151,16 +265,31 @@ TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
     ASSERT_EQ(record.partition.units, record.job.midplanes);
     std::int64_t held = 0;
     std::vector<std::int64_t> cells;
+    std::map<std::int64_t, std::int64_t> container_units;
     for (const ScheduledJob& placed : emitted) {
       if (placed.finish_seconds > record.start_seconds) {
         held += placed.partition.units;
         if (family == 0) {
           ASSERT_TRUE(placed.partition.cuboid.has_value());
           append_torus_cells(*placed.partition.cuboid, mira_dims, cells);
+        } else {
+          const ClosBlocks blocks = parse_clos_label(placed.partition.label);
+          ASSERT_EQ(blocks.per_block *
+                        static_cast<std::int64_t>(blocks.containers.size()),
+                    placed.partition.units)
+              << placed.partition.label;
+          for (const std::int64_t c : blocks.containers) {
+            container_units[c] += blocks.per_block;
+          }
         }
       }
     }
-    ASSERT_EQ(allocator->free_units(), allocator->total_units() - held)
+    for (const auto& [container, units] : container_units) {
+      ASSERT_LE(units, container_size(*inner))
+          << "container " << container << " over-booked after placing job "
+          << record.job.id << " at t = " << record.start_seconds;
+    }
+    ASSERT_EQ(allocator.free_units(), allocator.total_units() - held)
         << "after placing job " << record.job.id << " at t = "
         << record.start_seconds;
     std::sort(cells.begin(), cells.end());
@@ -169,6 +298,7 @@ TEST_P(OccupancySweep, FreeUnitsMatchRunningJobsAtEveryPlacement) {
         << " at t = " << record.start_seconds;
   });
   EXPECT_EQ(emitted.size(), jobs.size());
+  EXPECT_GT(allocator.releases(), 0);  // the release checks did run
   if (policy == SchedulerPolicy::kEasyBackfill) {
     EXPECT_GT(stats.backfill_hits, 0u);  // the rollback path did run
   }
